@@ -96,8 +96,8 @@ int main() {
   // 6. Reasoning over the discovered theory, with the ALG engine's
   // instrumentation on display: load the PD patterns into a PdTheory,
   // answer a batch of implication queries against one shared closure,
-  // then ask a few follow-ups (served incrementally / from the LRU
-  // cache) and dump the AlgStats trajectory.
+  // then ask a few follow-ups (bit probes of the current closure, or an
+  // incremental re-close) and dump the AlgStats trajectory.
   PdTheory t;
   for (const PdPattern& p : patterns) {
     (void)t.AddParsed(p.ToString(db.universe()));
@@ -113,7 +113,7 @@ int main() {
     std::printf("  E |= %-28s %s\n", queries[i].c_str(),
                 verdicts[i] ? "yes" : "no");
   }
-  // Re-ask two of them (pure cache hits) and one novel query (extends V
+  // Re-ask two of them (pure bit probes) and one novel query (extends V
   // and re-closes only the dirty frontier).
   (void)*t.ImpliesParsed(queries[0]);
   (void)*t.ImpliesParsed(queries[3]);
@@ -134,7 +134,5 @@ int main() {
       "(closure total %.1fus)\n",
       stats.seed_seconds * 1e6, stats.rules_seconds * 1e6,
       stats.transpose_seconds * 1e6, stats.closure_seconds * 1e6);
-  std::printf("  query cache: %zu lookups, %zu hits (hit rate %.2f)\n",
-              stats.cache_lookups, stats.cache_hits, stats.CacheHitRate());
   return all_hold ? 0 : 1;
 }

@@ -1,7 +1,6 @@
 #include "core/implication.h"
 
 #include <array>
-#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <optional>
@@ -19,10 +18,6 @@ double SecondsSince(SteadyClock::time_point start) {
   return std::chrono::duration<double>(SteadyClock::now() - start).count();
 }
 
-uint64_t PairKey(ExprId e1, ExprId e2) {
-  return (static_cast<uint64_t>(e1) << 32) | e2;
-}
-
 // How often the governed sweeps poll the deadline/cancel state: every
 // (kCheckStride) rows or delta consumptions. Budget comparisons against
 // the running arc counter ride along with the same stride.
@@ -34,19 +29,6 @@ PdImplicationEngine::PdImplicationEngine(const ExprArena* arena,
                                          std::vector<Pd> constraints,
                                          EngineOptions options)
     : arena_(arena), constraints_(std::move(constraints)), options_(options) {
-  if (options_.num_threads > 1) {
-    // Graceful degradation: a failed pool spawn (thread exhaustion in the
-    // environment, or the psem.threadpool.spawn fail point) downgrades to
-    // the serial sweep instead of propagating an exception. Verdicts are
-    // identical either way; the downgrade is recorded in stats().
-    auto pool = ThreadPool::Create(options_.num_threads);
-    if (pool.ok()) {
-      pool_ = std::move(pool).value();
-    } else {
-      stats_.degraded_to_serial = true;
-      stats_.degradation_reason = pool.status().message();
-    }
-  }
   for (const Pd& pd : constraints_) {
     AddVertex(pd.lhs);
     AddVertex(pd.rhs);
@@ -55,7 +37,7 @@ PdImplicationEngine::PdImplicationEngine(const ExprArena* arena,
 
 std::size_t PdImplicationEngine::CountNewVertices(ExprId e,
                                                   std::set<ExprId>* seen) const {
-  if (vertex_of_.count(e) || seen->count(e)) return 0;
+  if (VertexOf(e) != kNoVertex || seen->count(e)) return 0;
   seen->insert(e);
   std::size_t count = 1;
   if (!arena_->IsAttr(e)) {
@@ -65,8 +47,7 @@ std::size_t PdImplicationEngine::CountNewVertices(ExprId e,
   return count;
 }
 
-void PdImplicationEngine::AddVertex(ExprId e) {
-  if (vertex_of_.count(e)) return;
+void PdImplicationEngine::InternVertex(ExprId e) {
   // Children first so child indices exist.
   if (!arena_->IsAttr(e)) {
     AddVertex(arena_->LhsOf(e));
@@ -74,15 +55,16 @@ void PdImplicationEngine::AddVertex(ExprId e) {
   }
   uint32_t idx = static_cast<uint32_t>(vertices_.size());
   vertices_.push_back(e);
-  vertex_of_.emplace(e, idx);
+  if (e >= vertex_of_.size()) vertex_of_.resize(e + 1, kNoVertex);
+  vertex_of_[e] = idx;
   kind_.push_back(arena_->KindOf(e));
   parents_.emplace_back();
   if (arena_->IsAttr(e)) {
     lhs_.push_back(kNoVertex);
     rhs_.push_back(kNoVertex);
   } else {
-    uint32_t l = vertex_of_.at(arena_->LhsOf(e));
-    uint32_t r = vertex_of_.at(arena_->RhsOf(e));
+    uint32_t l = vertex_of_[arena_->LhsOf(e)];
+    uint32_t r = vertex_of_[arena_->RhsOf(e)];
     lhs_.push_back(l);
     rhs_.push_back(r);
     // Children are already interned (smaller indices), so the parent
@@ -138,23 +120,23 @@ Status PdImplicationEngine::ComputeClosure(const ExecContext& ctx) {
     for (std::size_t i = 0; i < old_n; ++i) {
       up_[i].Resize(n);
       delta_up_[i].Resize(n);
-      if (!pool_) down_[i].Resize(n);
+      down_[i].Resize(n);
     }
     up_.resize(n);
     delta_up_.resize(n);
-    if (!pool_) down_.resize(n);
+    down_.resize(n);
     dirty_rows_.Resize(n);
     for (std::size_t i = old_n; i < n; ++i) {
       up_[i] = DynamicBitset(n);
       delta_up_[i] = DynamicBitset(n);
-      if (!pool_) down_[i] = DynamicBitset(n);
+      down_[i] = DynamicBitset(n);
       TrySetArc(static_cast<uint32_t>(i), static_cast<uint32_t>(i));
     }
     if (old_n == 0) {
       // Rule 6: each constraint contributes its arc(s).
       for (const Pd& pd : constraints_) {
-        uint32_t l = vertex_of_.at(pd.lhs);
-        uint32_t r = vertex_of_.at(pd.rhs);
+        uint32_t l = vertex_of_[pd.lhs];
+        uint32_t r = vertex_of_[pd.rhs];
         TrySetArc(l, r);
         if (pd.is_equation) TrySetArc(r, l);
       }
@@ -179,29 +161,19 @@ Status PdImplicationEngine::ComputeClosure(const ExecContext& ctx) {
           arc_count_ += added;
           dirty_rows_.Set(mi);
         }
-        if (!pool_) {
-          // Column side via the incrementally maintained predecessor
-          // index: every consumed arc into a child lifts to the parent.
-          if (kind_[m] == ExprKind::kSum) {
-            down_[l].ForEach([&](std::size_t s) {
-              TrySetArc(static_cast<uint32_t>(s), mi);
-            });
-            down_[r].ForEach([&](std::size_t s) {
-              TrySetArc(static_cast<uint32_t>(s), mi);
-            });
-          } else {
-            down_[l].ForEach([&](std::size_t s) {
-              if (up_[s].Test(r)) TrySetArc(static_cast<uint32_t>(s), mi);
-            });
-          }
+        // Column side via the incrementally maintained predecessor
+        // index: every consumed arc into a child lifts to the parent.
+        if (kind_[m] == ExprKind::kSum) {
+          down_[l].ForEach([&](std::size_t s) {
+            TrySetArc(static_cast<uint32_t>(s), mi);
+          });
+          down_[r].ForEach([&](std::size_t s) {
+            TrySetArc(static_cast<uint32_t>(s), mi);
+          });
         } else {
-          // The parallel engine keeps no down_; scan the rows instead.
-          for (std::size_t s = 0; s < n; ++s) {
-            bool lifts = kind_[m] == ExprKind::kSum
-                             ? (up_[s].Test(l) || up_[s].Test(r))
-                             : (up_[s].Test(l) && up_[s].Test(r));
-            if (lifts) TrySetArc(static_cast<uint32_t>(s), mi);
-          }
+          down_[l].ForEach([&](std::size_t s) {
+            if (up_[s].Test(r)) TrySetArc(static_cast<uint32_t>(s), mi);
+          });
         }
       }
       ++stats_.incremental_closures;
@@ -218,8 +190,8 @@ Status PdImplicationEngine::ComputeClosure(const ExecContext& ctx) {
   // an abort at the entry checks leaves them pending for the next call.
   if (!pending_constraints_.empty()) {
     for (const Pd& pd : pending_constraints_) {
-      uint32_t l = vertex_of_.at(pd.lhs);
-      uint32_t r = vertex_of_.at(pd.rhs);
+      uint32_t l = vertex_of_[pd.lhs];
+      uint32_t r = vertex_of_[pd.rhs];
       TrySetArc(l, r);
       if (pd.is_equation) TrySetArc(r, l);
     }
@@ -231,7 +203,7 @@ Status PdImplicationEngine::ComputeClosure(const ExecContext& ctx) {
   stats_.passes = 0;
   stats_.sparse_rounds = 0;
   stats_.dense_rounds = 0;
-  Status st = pool_ ? DeltaFixpointParallel(ctx) : DeltaFixpointSerial(ctx);
+  Status st = DeltaFixpoint(ctx);
   if (st.ok() && stats_.passes == 0) {
     // Nothing was dirty (e.g. an already-quiescent warm start): record
     // the trivial confirming round so trajectory stats stay populated.
@@ -244,7 +216,6 @@ Status PdImplicationEngine::ComputeClosure(const ExecContext& ctx) {
   // comes straight from the running counter; it is exact even mid-abort.
   stats_.num_vertices = n;
   stats_.num_arcs = arc_count_;
-  stats_.num_threads = pool_ ? pool_->num_threads() : 1;
   stats_.closure_seconds += SecondsSince(closure_start);
 
   if (!st.ok()) {
@@ -267,7 +238,7 @@ Status PdImplicationEngine::ComputeClosure(const ExecContext& ctx) {
   return Status::OK();
 }
 
-// Serial semi-naive driver. Loop invariant, held at every round boundary
+// Semi-naive fixpoint loop. Invariant, held at every round boundary
 // and across aborts:
 //   (a) delta_up_[i] ⊆ up_[i] and holds exactly row i's unconsumed arcs;
 //   (b) dirty_rows_.Test(i) whenever delta_up_[i] is nonempty;
@@ -279,7 +250,7 @@ Status PdImplicationEngine::ComputeClosure(const ExecContext& ctx) {
 // down_, parent pulls through parents_) — so when every frontier is
 // empty, no rule instance is left unapplied and up_ is the least
 // fixpoint of Lemma 9.2.
-Status PdImplicationEngine::DeltaFixpointSerial(const ExecContext& ctx) {
+Status PdImplicationEngine::DeltaFixpoint(const ExecContext& ctx) {
   const std::size_t n = vertices_.size();
   const bool governed = !ctx.unbounded();
   std::vector<uint32_t> worklist;
@@ -611,227 +582,29 @@ Status PdImplicationEngine::DenseRound(const std::vector<uint32_t>& worklist,
   return Status::OK();
 }
 
-// Banded Jacobi delta fixpoint. Per round, the driver freezes the
-// frontier (swap delta_up_ -> carry_) and a mask of which rows own a
-// nonempty carry; then one ParallelFor over destination rows p, each
-// worker writing only its own band of up_/delta_up_ rows and reading
-// only frozen state: carry_, the dirty mask, and prev_up_ — a mirror of
-// up_ as of the last round boundary (so carry_[p] ⊆ prev_up_[p] for
-// every p). Each destination row pulls every rule whose conclusion
-// lands in it:
-//   rule 7, Δ left   — for j in carry_[p]:  up_[p] |= prev_up_[j];
-//   rule 7, Δ right  — for j in (up_[p] \ carry_[p]) ∩ dirty:
-//                      up_[p] |= carry_[j]  (only the delta-width carry,
-//                      the rest of row j already arrived in some earlier
-//                      round);
-//   rules 3/2        — composite p pulls carry_[child] (product) or
-//                      carry_[l] ∩ prev_up_[r] + carry_[r] ∩ prev_up_[l]
-//                      (sum; prev includes both carries, so a premise
-//                      pair split across the two frontiers still meets);
-//   rules 5/4        — for j in carry_[p], each parent (m, o) of j turns
-//                      on bit m (sum always, product when (p, o) holds).
-// New bits go to the worker's own delta_up_[p] and a worker-local dirty
-// set; the driver merges dirty sets and arc counts after the barrier,
-// then resyncs prev_up_ — copying only rows that changed this round —
-// and clears the consumed carries. Monotone rules + "every frontier bit
-// is eventually consumed" gives the same least fixpoint as the serial
-// engine; the structural argument is spelled out in
-// docs/architecture.md. down_ is not maintained here (nothing reads it
-// in pool mode).
-Status PdImplicationEngine::DeltaFixpointParallel(const ExecContext& ctx) {
-  const std::size_t n = vertices_.size();
-  const bool governed = !ctx.unbounded();
-  const std::size_t num_workers = pool_->num_threads();
-
-  // Bring the mirror and carries up to size and establish the round-
-  // boundary invariant prev_up_ == up_ (rows [0, old prev size) may be
-  // stale from before a vertex batch, new rows are fresh).
-  auto transpose_start = SteadyClock::now();
-  if (prev_up_.size() < n) prev_up_.resize(n);
-  if (carry_.size() < n) carry_.resize(n);
-  pool_->ParallelFor(n, [&](std::size_t, std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      prev_up_[i] = up_[i];
-      if (carry_[i].size() != n) carry_[i] = DynamicBitset(n);
-    }
-  });
-  stats_.transpose_seconds += SecondsSince(transpose_start);
-
-  std::vector<uint32_t> worklist;
-  DynamicBitset dirty_mask(n);
-  std::vector<DynamicBitset> worker_dirty(num_workers, DynamicBitset(n));
-  std::vector<std::size_t> worker_added(num_workers, 0);
-  std::vector<DynamicBitset> worker_cand(num_workers, DynamicBitset(n));
-  // Cooperative abort: any band that observes a tripped context sets the
-  // flag; bands poll it per row and bail, and the driver surfaces the
-  // Status after the barrier (restoring the frozen frontier first).
-  std::atomic<bool> aborted{false};
-  auto band_check = [&](std::size_t i) {
-    if (aborted.load(std::memory_order_relaxed)) return true;
-    if ((i % kCheckStride) == 0 &&
-        (ctx.cancelled() || ctx.deadline_expired())) {
-      aborted.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  };
-
-  while (dirty_rows_.Any()) {
-    ++stats_.passes;
-    ++stats_.sparse_rounds;  // single-mode: banded rounds count as sparse
-    if (PSEM_FAILPOINT(failpoints::kAlgSweep)) {
-      return Status::Internal("injected closure-sweep fault (psem.alg.sweep)");
-    }
-    if (governed) {
-      PSEM_RETURN_IF_ERROR(ctx.Check());
-      PSEM_RETURN_IF_ERROR(ctx.CheckArcs(arc_count_));
-    }
-    const std::size_t round_start_arcs = arc_count_;
-
-    // Freeze the frontier (driver only; no worker is running here).
-    worklist.clear();
-    dirty_rows_.ForEach(
-        [&](std::size_t i) { worklist.push_back(static_cast<uint32_t>(i)); });
-    dirty_mask = dirty_rows_;
-    for (uint32_t i : worklist) std::swap(carry_[i], delta_up_[i]);
-    dirty_rows_.Clear();
-
-    // Banded pull sweep over destination rows.
-    auto rules_start = SteadyClock::now();
-    pool_->ParallelFor(n, [&](std::size_t band, std::size_t lo,
-                              std::size_t hi) {
-      worker_added[band] = 0;
-      worker_dirty[band].Clear();
-      DynamicBitset& cand = worker_cand[band];
-      for (std::size_t p = lo; p < hi; ++p) {
-        if (governed && band_check(p)) break;
-        const bool p_dirty = dirty_mask.Test(p);
-        std::size_t added = 0;
-        // Rule 7, delta on the left: consume row p's own carry.
-        if (p_dirty) {
-          for (std::size_t j = carry_[p].NextSetBit(0); j < n;
-               j = carry_[p].NextSetBit(j + 1)) {
-            if (j != p) {
-              added += up_[p].OrInPlaceCountNew(prev_up_[j], &delta_up_[p]);
-            }
-          }
-        }
-        // Rule 7, delta on the right: arcs (p, j) consumed in earlier
-        // rounds meet row j's fresh carry. up_ \ carry_ excludes p's own
-        // frontier (those j were fully joined via prev_up_ above).
-        if (p_dirty) {
-          cand.AndNot(up_[p], carry_[p]);
-        } else {
-          cand = up_[p];
-        }
-        cand.IntersectWith(dirty_mask);
-        for (std::size_t j = cand.NextSetBit(0); j < n;
-             j = cand.NextSetBit(j + 1)) {
-          if (j != p) {
-            added += up_[p].OrInPlaceCountNew(carry_[j], &delta_up_[p]);
-          }
-        }
-        // Rules 3/2: composite p pulls its children's carries.
-        if (lhs_[p] != kNoVertex) {
-          const uint32_t l = lhs_[p], r = rhs_[p];
-          if (kind_[p] == ExprKind::kProduct) {
-            if (dirty_mask.Test(l)) {
-              added += up_[p].OrInPlaceCountNew(carry_[l], &delta_up_[p]);
-            }
-            if (r != l && dirty_mask.Test(r)) {
-              added += up_[p].OrInPlaceCountNew(carry_[r], &delta_up_[p]);
-            }
-          } else {  // sum: carry ⊆ prev_up_, so the two terms cover all
-                    // premise pairs with at least one fresh side
-            if (dirty_mask.Test(l)) {
-              added += up_[p].OrAndInPlaceCountNew(carry_[l], prev_up_[r],
-                                                   &delta_up_[p]);
-            }
-            if (r != l && dirty_mask.Test(r)) {
-              added += up_[p].OrAndInPlaceCountNew(carry_[r], prev_up_[l],
-                                                   &delta_up_[p]);
-            }
-          }
-        }
-        // Rules 5/4: each fresh arc (p, j) probes j's parents.
-        if (p_dirty) {
-          for (std::size_t j = carry_[p].NextSetBit(0); j < n;
-               j = carry_[p].NextSetBit(j + 1)) {
-            for (const auto& [m, o] : parents_[j]) {
-              if ((kind_[m] == ExprKind::kSum || up_[p].Test(o)) &&
-                  !up_[p].Test(m)) {
-                up_[p].Set(m);
-                delta_up_[p].Set(m);
-                ++added;
-              }
-            }
-          }
-        }
-        if (added) {
-          worker_added[band] += added;
-          worker_dirty[band].Set(p);
-        }
-      }
-    });
-    stats_.rules_seconds += SecondsSince(rules_start);
-
-    // Merge worker results (driver only).
-    for (std::size_t w = 0; w < num_workers; ++w) {
-      arc_count_ += worker_added[w];
-      dirty_rows_.UnionWith(worker_dirty[w]);
-    }
-    if (governed && aborted.load(std::memory_order_relaxed)) {
-      // Restore the frozen frontier so the resume re-runs this round.
-      // Partial writes are sound (monotone, justified by frozen state)
-      // and the re-run is idempotent arc-count-wise.
-      for (uint32_t i : worklist) {
-        delta_up_[i].UnionWith(carry_[i]);
-        carry_[i].Clear();
-        dirty_rows_.Set(i);
-      }
-      aborted.store(false, std::memory_order_relaxed);
-      return ctx.Check();
-    }
-
-    // Resync prev_up_ for changed rows only and retire the carries.
-    transpose_start = SteadyClock::now();
-    pool_->ParallelFor(n, [&](std::size_t, std::size_t lo, std::size_t hi) {
-      for (std::size_t p = lo; p < hi; ++p) {
-        if (dirty_rows_.Test(p)) prev_up_[p] = up_[p];
-        if (dirty_mask.Test(p)) carry_[p].Clear();
-      }
-    });
-    stats_.transpose_seconds += SecondsSince(transpose_start);
-
-    stats_.pass_arc_delta.push_back(arc_count_ - round_start_arcs);
-    if (governed) PSEM_RETURN_IF_ERROR(ctx.CheckArcs(arc_count_));
-  }
-  return Status::OK();
+void PdImplicationEngine::Prepare(std::span<const ExprId> exprs) {
+  Status st = Prepare(exprs, ExecContext::Unbounded());
+  // Unbounded + no armed fail point cannot trip; if a test armed a
+  // closure fail point and then called the ungoverned path, surface it
+  // loudly rather than silently serving a stale closure.
+  PSEM_CHECK(st.ok(), "ungoverned closure failed: " + st.ToString());
 }
 
-void PdImplicationEngine::Prepare(const std::vector<ExprId>& exprs) {
-  for (ExprId e : exprs) AddVertex(e);
-  if (!closure_valid_) {
-    Status st = ComputeClosure(ExecContext::Unbounded());
-    // Unbounded + no armed fail point cannot trip; if a test armed a
-    // closure fail point and then called the ungoverned path, surface it
-    // loudly rather than silently serving a stale closure.
-    PSEM_CHECK(st.ok(), "ungoverned closure failed: " + st.ToString());
-  }
+Status PdImplicationEngine::CheckVertexBudget(std::span<const ExprId> exprs,
+                                              const ExecContext& ctx) const {
+  std::set<ExprId> seen;
+  std::size_t added = 0;
+  for (ExprId e : exprs) added += CountNewVertices(e, &seen);
+  return ctx.CheckVertices(vertices_.size() + added);
 }
 
-Status PdImplicationEngine::Prepare(const std::vector<ExprId>& exprs,
+Status PdImplicationEngine::Prepare(std::span<const ExprId> exprs,
                                     const ExecContext& ctx) {
-  // Enforce the vertex budget BEFORE mutating V: count the prospective
-  // subexpressions and reject the whole call if they would blow the cap,
-  // leaving the engine exactly as it was.
   if (ctx.max_vertices() != 0) {
-    std::set<ExprId> seen;
-    std::size_t added = 0;
-    for (ExprId e : exprs) added += CountNewVertices(e, &seen);
-    PSEM_RETURN_IF_ERROR(ctx.CheckVertices(vertices_.size() + added));
+    PSEM_RETURN_IF_ERROR(CheckVertexBudget(exprs, ctx));
   }
-  PSEM_RETURN_IF_ERROR(ctx.Check());
+  // The closure's entry check polls ctx; with nothing to close, the
+  // verdicts are bit probes and need no poll.
   for (ExprId e : exprs) AddVertex(e);
   if (!closure_valid_) PSEM_RETURN_IF_ERROR(ComputeClosure(ctx));
   return Status::OK();
@@ -846,10 +619,6 @@ void PdImplicationEngine::AddConstraint(const Pd& pd) {
   constraints_.push_back(pd);
   pending_constraints_.push_back(pd);
   closure_valid_ = false;
-  // Cached verdicts were proved under the smaller E; a larger E can only
-  // add implications, but "not implied" answers may flip, so drop all.
-  lru_.clear();
-  cache_.clear();
 }
 
 Status PdImplicationEngine::AddConstraint(const Pd& pd,
@@ -858,10 +627,8 @@ Status PdImplicationEngine::AddConstraint(const Pd& pd,
     if (existing == pd) return Status::OK();
   }
   if (ctx.max_vertices() != 0) {
-    std::set<ExprId> seen;
-    std::size_t added = CountNewVertices(pd.lhs, &seen) +
-                        CountNewVertices(pd.rhs, &seen);
-    PSEM_RETURN_IF_ERROR(ctx.CheckVertices(vertices_.size() + added));
+    const ExprId sides[] = {pd.lhs, pd.rhs};
+    PSEM_RETURN_IF_ERROR(CheckVertexBudget(sides, ctx));
   }
   PSEM_RETURN_IF_ERROR(ctx.Check());
   AddConstraint(pd);
@@ -915,7 +682,7 @@ Status PdImplicationEngine::RestoreClosureState(EngineClosureState state) {
     return Status::DataLoss("closure state marked valid with pending work");
   }
   for (const Pd& pd : state.pending_constraints) {
-    if (!vertex_of_.count(pd.lhs) || !vertex_of_.count(pd.rhs)) {
+    if (VertexOf(pd.lhs) == kNoVertex || VertexOf(pd.rhs) == kNoVertex) {
       return Status::DataLoss("pending constraint over unknown vertex");
     }
   }
@@ -926,27 +693,20 @@ Status PdImplicationEngine::RestoreClosureState(EngineClosureState state) {
   seeded_vertices_ = m;
   pending_constraints_ = std::move(state.pending_constraints);
   // Rebuild the derived structures. dirty = rows with a nonempty
-  // frontier; down = transpose of the consumed arcs (up & ~delta),
-  // serial engines only.
+  // frontier; down = transpose of the consumed arcs (up & ~delta).
   dirty_rows_ = DynamicBitset(m);
   for (std::size_t i = 0; i < m; ++i) {
     if (delta_up_[i].Any()) dirty_rows_.Set(i);
   }
-  if (!pool_) {
-    down_.assign(m, DynamicBitset(m));
-    DynamicBitset consumed(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      consumed.AndNot(up_[i], delta_up_[i]);
-      consumed.ForEach([&](std::size_t j) { down_[j].Set(i); });
-    }
-  } else {
-    down_.clear();
+  down_.assign(m, DynamicBitset(m));
+  DynamicBitset consumed(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    consumed.AndNot(up_[i], delta_up_[i]);
+    consumed.ForEach([&](std::size_t j) { down_[j].Set(i); });
   }
   // Vertices beyond the seeded prefix (if the caller Prepared extra
   // expressions before restoring) re-seed at the next closure.
   closure_valid_ = state.closure_valid && m == vertices_.size();
-  lru_.clear();
-  cache_.clear();
   return Status::OK();
 }
 
@@ -966,7 +726,7 @@ Status PdImplicationEngine::RestoreEngineState(
     }
   }
   for (const Pd& pd : constraints) {
-    if (!vertex_of_.count(pd.lhs) || !vertex_of_.count(pd.rhs)) {
+    if (VertexOf(pd.lhs) == kNoVertex || VertexOf(pd.rhs) == kNoVertex) {
       return Status::DataLoss("snapshot constraint over unknown vertex");
     }
   }
@@ -976,132 +736,48 @@ Status PdImplicationEngine::RestoreEngineState(
 
 bool PdImplicationEngine::LeqInClosure(ExprId e1, ExprId e2) const {
   assert(closure_valid_);
-  auto i = vertex_of_.find(e1);
-  auto j = vertex_of_.find(e2);
-  assert(i != vertex_of_.end() && j != vertex_of_.end());
-  return up_[i->second].Test(j->second);
-}
-
-bool PdImplicationEngine::CacheLookup(ExprId e1, ExprId e2, bool* verdict) {
-  if (options_.cache_capacity == 0) return false;
-  ++stats_.cache_lookups;
-  auto it = cache_.find(PairKey(e1, e2));
-  if (it == cache_.end()) return false;
-  ++stats_.cache_hits;
-  lru_.splice(lru_.begin(), lru_, it->second);  // mark most-recently used
-  *verdict = it->second->second;
-  return true;
-}
-
-void PdImplicationEngine::CacheInsert(ExprId e1, ExprId e2, bool verdict) {
-  if (options_.cache_capacity == 0) return;
-  uint64_t key = PairKey(e1, e2);
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    it->second->second = verdict;
-    return;
-  }
-  if (lru_.size() >= options_.cache_capacity) {
-    cache_.erase(lru_.back().first);
-    lru_.pop_back();
-  }
-  lru_.emplace_front(key, verdict);
-  cache_.emplace(key, lru_.begin());
-}
-
-bool PdImplicationEngine::LeqWithCache(ExprId e1, ExprId e2) {
-  bool verdict;
-  if (CacheLookup(e1, e2, &verdict)) return verdict;
-  verdict = LeqInClosure(e1, e2);
-  CacheInsert(e1, e2, verdict);
-  return verdict;
+  const uint32_t i = VertexOf(e1);
+  const uint32_t j = VertexOf(e2);
+  assert(i != kNoVertex && j != kNoVertex);
+  return up_[i].Test(j);
 }
 
 bool PdImplicationEngine::ImpliesLeq(ExprId e1, ExprId e2) {
-  bool verdict;
-  if (CacheLookup(e1, e2, &verdict)) return verdict;
-  Prepare({e1, e2});
-  return LeqWithCache(e1, e2);
+  Result<bool> r = ImpliesLeq(e1, e2, ExecContext::Unbounded());
+  PSEM_CHECK(r.ok(), "ungoverned closure failed: " + r.status().ToString());
+  return *r;
 }
 
 Result<bool> PdImplicationEngine::ImpliesLeq(ExprId e1, ExprId e2,
                                              const ExecContext& ctx) {
-  bool verdict;
-  if (CacheLookup(e1, e2, &verdict)) return verdict;
-  PSEM_RETURN_IF_ERROR(Prepare({e1, e2}, ctx));
-  return LeqWithCache(e1, e2);
+  const ExprId sides[] = {e1, e2};
+  PSEM_RETURN_IF_ERROR(Prepare(sides, ctx));
+  return LeqInClosure(e1, e2);
 }
 
 bool PdImplicationEngine::Implies(const Pd& query) {
-  // Cache fast path. Cached verdicts are V-independent (Lemma 9.2), so a
-  // hit avoids extending V and re-closing even for never-seen queries.
-  bool fwd;
-  if (CacheLookup(query.lhs, query.rhs, &fwd)) {
-    if (!fwd) return false;
-    if (!query.is_equation) return true;
-    bool bwd;
-    if (CacheLookup(query.rhs, query.lhs, &bwd)) return bwd;
-  }
-  Prepare({query.lhs, query.rhs});
-  bool f = LeqWithCache(query.lhs, query.rhs);
-  if (!query.is_equation) return f;
-  return f && LeqWithCache(query.rhs, query.lhs);
+  Result<bool> r = Implies(query, ExecContext::Unbounded());
+  PSEM_CHECK(r.ok(), "ungoverned closure failed: " + r.status().ToString());
+  return *r;
 }
 
 Result<bool> PdImplicationEngine::Implies(const Pd& query,
                                           const ExecContext& ctx) {
-  bool fwd;
-  if (CacheLookup(query.lhs, query.rhs, &fwd)) {
-    if (!fwd) return false;
-    if (!query.is_equation) return true;
-    bool bwd;
-    if (CacheLookup(query.rhs, query.lhs, &bwd)) return bwd;
-  }
-  PSEM_RETURN_IF_ERROR(Prepare({query.lhs, query.rhs}, ctx));
-  bool f = LeqWithCache(query.lhs, query.rhs);
-  if (!query.is_equation) return f;
-  return f && LeqWithCache(query.rhs, query.lhs);
+  const ExprId sides[] = {query.lhs, query.rhs};
+  PSEM_RETURN_IF_ERROR(Prepare(sides, ctx));
+  return LeqInClosure(query.lhs, query.rhs) &&
+         (!query.is_equation || LeqInClosure(query.rhs, query.lhs));
 }
 
 std::vector<bool> PdImplicationEngine::BatchImplies(
     std::span<const Pd> queries) {
-  std::vector<bool> out(queries.size(), false);
-  // Pass 1: answer what the cache can; register the vertices of every
-  // remaining query so the closure below is computed exactly once for
-  // the whole batch.
-  std::vector<std::size_t> pending;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const Pd& q = queries[i];
-    bool fwd;
-    if (CacheLookup(q.lhs, q.rhs, &fwd)) {
-      if (!fwd) continue;  // out[i] stays false
-      if (!q.is_equation) {
-        out[i] = true;
-        continue;
-      }
-      bool bwd;
-      if (CacheLookup(q.rhs, q.lhs, &bwd)) {
-        out[i] = bwd;
-        continue;
-      }
-    }
-    AddVertex(q.lhs);
-    AddVertex(q.rhs);
-    pending.push_back(i);
-  }
-  // Pass 2: one shared (incremental) closure, then O(1) bit tests.
-  // Duplicate queries in the batch resolve through the cache.
-  if (!pending.empty()) {
-    if (!closure_valid_) {
-      Status st = ComputeClosure(ExecContext::Unbounded());
-      PSEM_CHECK(st.ok(), "ungoverned closure failed: " + st.ToString());
-    }
-    for (std::size_t i : pending) {
-      const Pd& q = queries[i];
-      bool f = LeqWithCache(q.lhs, q.rhs);
-      out[i] = q.is_equation ? (f && LeqWithCache(q.rhs, q.lhs)) : f;
-    }
+  std::vector<Result<bool>> results =
+      BatchImplies(queries, ExecContext::Unbounded());
+  std::vector<bool> out;
+  out.reserve(results.size());
+  for (const Result<bool>& r : results) {
+    PSEM_CHECK(r.ok(), "ungoverned closure failed: " + r.status().ToString());
+    out.push_back(*r);
   }
   return out;
 }
@@ -1120,22 +796,6 @@ std::vector<Result<bool>> PdImplicationEngine::BatchImplies(
   std::size_t prospective = vertices_.size();
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const Pd& q = queries[i];
-    bool fwd;
-    if (CacheLookup(q.lhs, q.rhs, &fwd)) {
-      if (!fwd) {
-        slots[i] = Result<bool>(false);
-        continue;
-      }
-      if (!q.is_equation) {
-        slots[i] = Result<bool>(true);
-        continue;
-      }
-      bool bwd;
-      if (CacheLookup(q.rhs, q.lhs, &bwd)) {
-        slots[i] = Result<bool>(bwd);
-        continue;
-      }
-    }
     if (ctx.max_vertices() != 0) {
       // Trial-count against a copy so a rejected query's subexpressions
       // don't pollute the shared `counted` set.
@@ -1154,19 +814,17 @@ std::vector<Result<bool>> PdImplicationEngine::BatchImplies(
     AddVertex(q.rhs);
     pending.push_back(i);
   }
+  // One shared (incremental) closure, then O(1) bit tests.
   if (!pending.empty()) {
     Status st = closure_valid_ ? Status::OK() : ComputeClosure(ctx);
     for (std::size_t i : pending) {
       if (!st.ok()) {
-        // Shared-closure failure: only the closure-dependent remainder
-        // report it; cache-resolved verdicts above are kept.
         slots[i] = Result<bool>(st);
         continue;
       }
       const Pd& q = queries[i];
-      bool f = LeqWithCache(q.lhs, q.rhs);
-      slots[i] =
-          Result<bool>(q.is_equation ? (f && LeqWithCache(q.rhs, q.lhs)) : f);
+      slots[i] = Result<bool>(LeqInClosure(q.lhs, q.rhs) &&
+                              (!q.is_equation || LeqInClosure(q.rhs, q.lhs)));
     }
   }
   std::vector<Result<bool>> out;

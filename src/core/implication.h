@@ -1,5 +1,5 @@
 /// @file implication.h
-/// @brief Algorithm ALG: PD implication as arc-digraph closure (Section 5.2), with parallel, incremental, and batched service layers.
+/// @brief Algorithm ALG: PD implication as arc-digraph closure (Section 5.2), with incremental and batched service layers.
 
 // PD implication — the uniform word problem for lattices (Section 5).
 //
@@ -25,15 +25,6 @@
 // kernel for the dense endgame. Service-layer extensions on top (see
 // docs/architecture.md for the full correctness arguments):
 //
-//  * Parallel closure. With EngineOptions::num_threads > 1 the delta
-//    rounds run Jacobi-style: each worker owns a contiguous band of
-//    Gamma's bitset rows, consumes the round's frozen frontier against a
-//    persistent row mirror (re-synced only for rows that changed), and
-//    writes only its own rows; rounds are separated by a ThreadPool
-//    barrier. Because the seven rules are monotone (arcs are only ever
-//    added) and every write is justified by mirrored/frozen arcs, the
-//    parallel loop converges to the same least fixpoint as the serial one.
-//
 //  * Incremental closure. Lemma 9.2 identifies "arc (e, e') in the closed
 //    Gamma" with the V-independent relation E |= e <= e'; hence arcs
 //    between existing vertices never change when V grows. Prepare/Implies
@@ -43,9 +34,8 @@
 //    a warm start instead of restarting from the seed arcs.
 //
 //  * Batched queries. BatchImplies answers a whole query span against one
-//    shared closure, and an LRU cache keyed on interned (ExprId, ExprId)
-//    pairs memoizes verdicts across calls; by the same V-independence the
-//    cache never needs invalidation for a fixed E.
+//    shared closure. Once both sides of a query are in V, its verdict is
+//    one bit of the closed arc matrix, so no verdict cache is kept.
 //
 // NaivePdImplication applies the seven rules literally, arc by arc, as a
 // slow reference for differential tests.
@@ -58,22 +48,18 @@
 #define PSEM_CORE_IMPLICATION_H_
 
 #include <cstdint>
-#include <list>
-#include <memory>
 #include <set>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "lattice/expr.h"
 #include "util/bitset.h"
 #include "util/exec_context.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace psem {
 
-/// Counters from the engine's closure computations and query cache.
+/// Counters from the engine's closure computations.
 struct AlgStats {
   std::size_t num_vertices = 0;  ///< |V|: distinct subexpressions.
   std::size_t num_arcs = 0;      ///< arcs in the final Gamma.
@@ -84,7 +70,7 @@ struct AlgStats {
 
   /// Rounds of the last closure served by each kernel of the semi-naive
   /// sweep: the per-row worklist (sparse) vs the blocked 64-row tile
-  /// kernel (dense). The parallel banded sweep counts as sparse.
+  /// kernel (dense).
   std::size_t sparse_rounds = 0;
   std::size_t dense_rounds = 0;
 
@@ -97,42 +83,18 @@ struct AlgStats {
   std::size_t cold_closures = 0;         ///< closures computed from seed.
   std::size_t incremental_closures = 0;  ///< closures warm-started.
 
-  std::size_t cache_lookups = 0;  ///< LRU probes.
-  std::size_t cache_hits = 0;     ///< LRU probes answered.
-
-  std::size_t num_threads = 1;  ///< workers used by the closure sweeps.
-
-  /// True when EngineOptions requested a parallel pool but thread
-  /// creation failed (real or injected) and the engine fell back to the
-  /// serial sweep. Verdicts are unaffected; only throughput degrades.
-  bool degraded_to_serial = false;
-  std::string degradation_reason;  ///< why the downgrade happened.
-
   /// Closures stopped early by a deadline, cancellation, budget, or
   /// injected fault. The partial arc matrix is kept as a sound warm
   /// start; the counters above reflect the partial progress.
   std::size_t aborted_closures = 0;
-
-  double CacheHitRate() const {
-    return cache_lookups == 0
-               ? 0.0
-               : static_cast<double>(cache_hits) /
-                     static_cast<double>(cache_lookups);
-  }
 };
 
 /// Tuning knobs for PdImplicationEngine.
 struct EngineOptions {
-  /// Workers for the closure fixpoint. 1 (default) keeps the serial
-  /// Gauss-Seidel sweep; >1 switches to the banded Jacobi sweep.
-  std::size_t num_threads = 1;
-  /// Capacity of the LRU query cache ((ExprId, ExprId) -> bool).
-  /// 0 disables caching.
-  std::size_t cache_capacity = 1024;
-  /// Serial-mode sparse->dense switch: a delta round runs the blocked
-  /// dense kernel when at least `dense_min_rows` rows are dirty AND the
-  /// pending frontier averages at least |V|/`dense_inv_density` arcs per
-  /// dirty row. The defaults keep chain-like closures (tiny per-row
+  /// Sparse->dense switch: a delta round runs the blocked dense kernel
+  /// when at least `dense_min_rows` rows are dirty AND the pending
+  /// frontier averages at least |V|/`dense_inv_density` arcs per dirty
+  /// row. The defaults keep chain-like closures (tiny per-row
   /// deltas) permanently sparse; tests lower dense_min_rows to force the
   /// dense kernel deterministically.
   std::size_t dense_min_rows = 64;
@@ -145,10 +107,6 @@ struct EngineOptions {
 class PdImplicationEngine {
  public:
   /// The engine keeps a pointer to `arena`; it must outlive the engine.
-  /// If options request a parallel pool and thread creation fails, the
-  /// engine degrades to the serial sweep and records the downgrade in
-  /// stats() (degraded_to_serial / degradation_reason) — construction
-  /// itself never fails.
   PdImplicationEngine(const ExprArena* arena, std::vector<Pd> constraints,
                       EngineOptions options = {});
 
@@ -169,30 +127,27 @@ class PdImplicationEngine {
 
   /// Answers every query in `queries` against one shared closure: new
   /// subexpressions across the whole batch are added to V first, the
-  /// closure is (re)computed once, and duplicate queries are answered
-  /// from the cache. out[i] corresponds to queries[i].
+  /// closure is (re)computed once, and every verdict is then a bit test.
+  /// out[i] corresponds to queries[i].
   std::vector<bool> BatchImplies(std::span<const Pd> queries);
 
   /// Governed batch. Failures are per-query, not collective: a query
   /// whose subexpressions would blow the vertex budget gets its own
   /// kResourceExhausted while the rest of the batch is still answered;
-  /// if the one shared closure trips mid-computation, the queries already
-  /// resolved from the cache keep their verdicts and only the closure-
-  /// dependent remainder report the error.
+  /// if the one shared closure trips mid-computation, every in-budget
+  /// query reports that error.
   std::vector<Result<bool>> BatchImplies(std::span<const Pd> queries,
                                          const ExecContext& ctx);
 
   /// Ensures all of `exprs` are vertices of V and the closure is current.
   /// After this, LeqInClosure may be used for any pair of them.
-  void Prepare(const std::vector<ExprId>& exprs);
-  Status Prepare(const std::vector<ExprId>& exprs, const ExecContext& ctx);
+  void Prepare(std::span<const ExprId> exprs);
+  Status Prepare(std::span<const ExprId> exprs, const ExecContext& ctx);
 
   /// Grows E by one constraint without rebuilding the engine. Sound as a
   /// warm start: every arc of the old closure is a consequence of the old
   /// E, hence of the larger E (arc rules are monotone in E). The new
-  /// constraint's arcs are planted at the next closure; the LRU query
-  /// cache is dropped, because cached verdicts are V-independent only for
-  /// a FIXED E — a larger E can flip "not implied" to "implied".
+  /// constraint's arcs are planted at the next closure.
   /// Idempotent: re-adding a constraint already in E is a no-op.
   void AddConstraint(const Pd& pd);
   /// Governed variant: enforces ctx's vertex budget before mutating V.
@@ -240,7 +195,7 @@ class PdImplicationEngine {
   /// closure_valid implies an empty frontier). The engine's V must
   /// already cover at least `state.seeded_vertices` vertices in the
   /// exported order. Rebuilds the derived structures (dirty worklist,
-  /// down_ transpose) and drops the query cache. On any validation
+  /// down_ transpose). On any validation
   /// failure the engine is left untouched and kDataLoss /
   /// kFailedPrecondition is returned.
   Status RestoreClosureState(EngineClosureState state);
@@ -257,10 +212,19 @@ class PdImplicationEngine {
                             EngineClosureState state);
 
  private:
-  void AddVertex(ExprId e);
+  // Adds `e` and its missing subexpressions to V, children first.
+  void AddVertex(ExprId e) {
+    if (VertexOf(e) == kNoVertex) InternVertex(e);
+  }
+  void InternVertex(ExprId e);  // requires: e not in V
   // Number of subexpressions of `e` not yet in V and not yet in `seen`;
   // used to enforce a vertex budget BEFORE mutating V.
   std::size_t CountNewVertices(ExprId e, std::set<ExprId>* seen) const;
+  // Fails if interning `exprs` would push |V| past ctx's vertex budget.
+  // Called BEFORE V is mutated, so a rejected call leaves the engine
+  // exactly as it was.
+  Status CheckVertexBudget(std::span<const ExprId> exprs,
+                           const ExecContext& ctx) const;
   // All closure routines return OK, or the ctx/fail-point Status that
   // stopped them early. An early stop leaves closure_valid_ == false with
   // the partially propagated arc matrix, the unconsumed delta_up_ rows,
@@ -273,30 +237,17 @@ class PdImplicationEngine {
   // Semi-naive delta fixpoint (rules 2-5 and 7): every round consumes the
   // per-row new-arc frontier (delta_up_) of the rows on the worklist and
   // derives only from those deltas; an arc is consumed exactly once over
-  // the whole closure. The serial driver picks per round between the
-  // sparse worklist kernel and the blocked 64-row-tile dense kernel on
-  // measured frontier density; the parallel driver runs banded delta
-  // rounds over a persistent row mirror (prev_up_) that is re-synced only
-  // for rows whose frontier changed. See docs/architecture.md.
-  Status DeltaFixpointSerial(const ExecContext& ctx);
-  Status DeltaFixpointParallel(const ExecContext& ctx);
+  // the whole closure. Each round picks between the sparse worklist
+  // kernel and the blocked 64-row-tile dense kernel on measured frontier
+  // density. See docs/architecture.md.
+  Status DeltaFixpoint(const ExecContext& ctx);
   Status SparseRound(const std::vector<uint32_t>& worklist,
                      const ExecContext& ctx, std::size_t* consumed_strider);
   Status DenseRound(const std::vector<uint32_t>& worklist,
                     const ExecContext& ctx);
   // Adds arc (i, m) unless present: sets the up_ bit, flags it
-  // unconsumed in delta_up_, and bumps the exact arc counter. Serial
-  // paths only (writes the shared dirty-row set).
+  // unconsumed in delta_up_, and bumps the exact arc counter.
   void TrySetArc(uint32_t i, uint32_t m);
-
-  // LRU query cache over packed (e1, e2) keys. Verdicts stay valid across
-  // closure growth (Lemma 9.2 makes them V-independent), so entries are
-  // only evicted, never invalidated.
-  bool CacheLookup(ExprId e1, ExprId e2, bool* verdict);
-  void CacheInsert(ExprId e1, ExprId e2, bool verdict);
-  // LeqInClosure with cache fill; requires a current closure covering
-  // both vertices.
-  bool LeqWithCache(ExprId e1, ExprId e2);
 
   const ExprArena* arena_;
   std::vector<Pd> constraints_;
@@ -305,12 +256,16 @@ class PdImplicationEngine {
   // phase. Survives aborted closures that stop before seeding.
   std::vector<Pd> pending_constraints_;
   EngineOptions options_;
-  std::unique_ptr<ThreadPool> pool_;  // created iff num_threads > 1
 
-  std::vector<ExprId> vertices_;                    // index -> ExprId
-  std::unordered_map<ExprId, uint32_t> vertex_of_;  // ExprId -> index
-  // Children as vertex indices (kNoVertex for attribute leaves).
   static constexpr uint32_t kNoVertex = UINT32_MAX;
+  std::vector<ExprId> vertices_;  // index -> ExprId
+  // ExprId -> index, kNoVertex for expressions not in V. Dense over the
+  // arena's ids, so a verdict costs two array loads and one bit test.
+  std::vector<uint32_t> vertex_of_;
+  uint32_t VertexOf(ExprId e) const {
+    return e < vertex_of_.size() ? vertex_of_[e] : kNoVertex;
+  }
+  // Children as vertex indices (kNoVertex for attribute leaves).
   std::vector<uint32_t> lhs_, rhs_;
   std::vector<ExprKind> kind_;
   // parents_[c] lists every composite m having c as a child, paired with
@@ -324,8 +279,7 @@ class PdImplicationEngine {
   // Column view: down_[j] bit i set <=> arc (i, j) *consumed*. Maintained
   // incrementally — down_[j] gains bit i at the moment the delta bit
   // (i, j) is consumed, never by a full transpose rebuild — and serves as
-  // the predecessor index for backward transitivity. Serial engines only;
-  // the parallel sweep replaces it with dirty-mask row scans.
+  // the predecessor index for backward transitivity.
   std::vector<DynamicBitset> down_;
   // Semi-naive frontier: delta_up_[i] holds the arcs of row i not yet
   // propagated (always a subset of up_[i]); dirty_rows_ flags rows with a
@@ -333,10 +287,8 @@ class PdImplicationEngine {
   // closures resume without reseeding.
   std::vector<DynamicBitset> delta_up_;
   DynamicBitset dirty_rows_;
-  // Per-round frozen frontier (dense + parallel rounds) and the parallel
-  // sweep's persistent row mirror (re-synced only for changed rows).
+  // Per-round frozen frontier of the dense rounds.
   std::vector<DynamicBitset> carry_;
-  std::vector<DynamicBitset> prev_up_;
   // Exact running arc count: bumped once per up_ bit transition by the
   // OrInPlaceCountNew kernels and TrySetArc; replaces the per-pass
   // full-matrix count scans. Stays exact across aborted closures.
@@ -347,10 +299,6 @@ class PdImplicationEngine {
   // 0 means no closure has ever been started.
   std::size_t seeded_vertices_ = 0;
   AlgStats stats_;
-
-  std::list<std::pair<uint64_t, bool>> lru_;  // front = most recent
-  std::unordered_map<uint64_t, std::list<std::pair<uint64_t, bool>>::iterator>
-      cache_;
 };
 
 /// Literal transcription of ALG (Section 5.2): a worklist of arcs, the

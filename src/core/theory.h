@@ -51,7 +51,7 @@ class PdTheory {
 
   const std::vector<Pd>& pds() const { return pds_; }
 
-  /// Engine tuning (closure parallelism, query-cache size). Takes effect
+  /// Engine tuning (the sparse/dense kernel switch). Takes effect
   /// on the next engine (re)build; call before the first query for full
   /// effect.
   void SetEngineOptions(const EngineOptions& options) {
@@ -65,8 +65,8 @@ class PdTheory {
   bool Implies(const Pd& query);
 
   /// Answers a whole batch of queries against one shared closure (new
-  /// subexpressions are added once, duplicates resolve via the engine's
-  /// LRU cache). out[i] corresponds to queries[i].
+  /// subexpressions are added once, then every verdict is a bit test).
+  /// out[i] corresponds to queries[i].
   std::vector<bool> BatchImplies(std::span<const Pd> queries);
 
   /// Parses every query, then calls BatchImplies.

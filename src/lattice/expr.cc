@@ -213,31 +213,30 @@ Result<Pd> ExprArena::ParsePd(std::string_view text) {
   return Pd{lhs, rhs, is_equation};
 }
 
-void ExprArena::ToStringRec(ExprId id, bool parenthesize_sum,
+void ExprArena::ToStringRec(ExprId id, bool parenthesize,
                             std::string* out) const {
   const Node& n = nodes_[id];
-  switch (n.kind) {
-    case ExprKind::kAttr:
-      *out += attr_names_.NameOf(n.attr);
-      return;
-    case ExprKind::kProduct:
-      ToStringRec(n.lhs, /*parenthesize_sum=*/true, out);
-      *out += "*";
-      ToStringRec(n.rhs, /*parenthesize_sum=*/true, out);
-      return;
-    case ExprKind::kSum:
-      if (parenthesize_sum) *out += "(";
-      ToStringRec(n.lhs, /*parenthesize_sum=*/false, out);
-      *out += "+";
-      ToStringRec(n.rhs, /*parenthesize_sum=*/false, out);
-      if (parenthesize_sum) *out += ")";
-      return;
+  if (n.kind == ExprKind::kAttr) {
+    *out += attr_names_.NameOf(n.attr);
+    return;
   }
+  // The parser binds '*' tighter than '+' and reads both left-associated,
+  // so a product operand that is a sum, and a right operand built with
+  // its parent's own operator, need parentheses to parse back to `id`.
+  const bool product = n.kind == ExprKind::kProduct;
+  const ExprKind rhs_kind = nodes_[n.rhs].kind;
+  if (parenthesize) *out += "(";
+  ToStringRec(n.lhs, product && nodes_[n.lhs].kind == ExprKind::kSum, out);
+  *out += product ? "*" : "+";
+  ToStringRec(n.rhs, product ? rhs_kind != ExprKind::kAttr
+                             : rhs_kind == ExprKind::kSum,
+              out);
+  if (parenthesize) *out += ")";
 }
 
 std::string ExprArena::ToString(ExprId id) const {
   std::string out;
-  ToStringRec(id, /*parenthesize_sum=*/false, &out);
+  ToStringRec(id, /*parenthesize=*/false, &out);
   return out;
 }
 

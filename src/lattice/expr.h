@@ -151,7 +151,9 @@ class ExprArena {
   };
 
   ExprId InternNode(ExprKind kind, AttrId attr, ExprId l, ExprId r);
-  void ToStringRec(ExprId id, bool parenthesize_sum, std::string* out) const;
+  // Prints `id`, wrapped in parentheses when `parenthesize` and `id` is
+  // composite.
+  void ToStringRec(ExprId id, bool parenthesize, std::string* out) const;
 
   std::vector<Node> nodes_;
   // key: kind in top 2 bits semantics folded via tuple hash below.

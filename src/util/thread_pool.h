@@ -1,10 +1,9 @@
 // A small fixed-size thread pool with a blocking parallel-for primitive.
-// Built for the row-banded fixpoint sweeps of Algorithm ALG
-// (core/implication.*): the caller partitions an index range into
+// Built for the level-by-level waves of EvalContext::EvalAll
+// (partition/eval_context.*): the caller partitions an index range into
 // contiguous bands, every band runs on its own worker, and ParallelFor
 // returns only after the last band finishes — the join is the barrier
-// that separates sweep phases (see docs/architecture.md, "Parallel
-// closure").
+// that separates one DAG level from the next.
 //
 // Thread-compatibility: a ThreadPool may be driven by one thread at a
 // time; the closures submitted through it run concurrently with each
@@ -17,14 +16,9 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
-#include <system_error>
 #include <thread>
 #include <vector>
-
-#include "util/failpoint.h"
-#include "util/status.h"
 
 namespace psem {
 
@@ -32,8 +26,7 @@ namespace psem {
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (at least 1). Propagates
-  /// std::system_error if the OS refuses to create a thread; prefer
-  /// Create() on paths that must survive a degraded environment.
+  /// std::system_error if the OS refuses to create a thread.
   explicit ThreadPool(std::size_t num_threads) {
     if (num_threads == 0) num_threads = 1;
     workers_.reserve(num_threads);
@@ -51,27 +44,6 @@ class ThreadPool {
       wake_workers_.notify_all();
       for (auto& w : workers_) w.join();
       throw;
-    }
-  }
-
-  /// Fallible construction: returns the pool, or a Status when thread
-  /// creation fails (resource exhaustion in the environment, or the
-  /// `psem.threadpool.spawn` fail point). Callers are expected to degrade
-  /// gracefully — e.g. PdImplicationEngine falls back to the serial sweep
-  /// and records the downgrade in AlgStats.
-  static Result<std::unique_ptr<ThreadPool>> Create(std::size_t num_threads) {
-    if (PSEM_FAILPOINT(failpoints::kThreadPoolSpawn)) {
-      return Status::ResourceExhausted(
-          "injected thread-creation failure (psem.threadpool.spawn)");
-    }
-    try {
-      return std::make_unique<ThreadPool>(num_threads);
-    } catch (const std::system_error& e) {
-      return Status::ResourceExhausted(
-          std::string("thread creation failed: ") + e.what());
-    } catch (const std::bad_alloc&) {
-      return Status::ResourceExhausted(
-          "thread creation failed: out of memory");
     }
   }
 

@@ -1,6 +1,5 @@
 // Concurrency tests, run under -fsanitize=thread in CI: the ThreadPool
-// primitive, the banded parallel closure sweep (serial/parallel
-// equivalence), concurrent const reads of a prepared engine, and the
+// primitive, concurrent const reads of a prepared engine, and the
 // const-qualified WhitmanIterative decider shared across threads.
 
 #include <gtest/gtest.h>
@@ -69,7 +68,7 @@ TEST(ThreadPoolTest, ReusableAcrossManySmallBatches) {
   EXPECT_EQ(total.load(), 200 * 7);
 }
 
-// --- parallel closure == serial closure -----------------------------------------
+// --- random expressions ---------------------------------------------------------
 
 ExprId RandomExpr(ExprArena* arena, Rng* rng, int num_attrs, int ops) {
   if (ops == 0) {
@@ -82,67 +81,6 @@ ExprId RandomExpr(ExprArena* arena, Rng* rng, int num_attrs, int ops) {
   return rng->Chance(1, 2) ? arena->Product(l, r) : arena->Sum(l, r);
 }
 
-std::vector<Pd> RandomTheory(ExprArena* arena, Rng* rng, int num_attrs,
-                             int num_pds, int max_ops) {
-  std::vector<Pd> pds;
-  for (int i = 0; i < num_pds; ++i) {
-    ExprId l = RandomExpr(arena, rng, num_attrs,
-                          static_cast<int>(rng->Below(max_ops + 1)));
-    ExprId r = RandomExpr(arena, rng, num_attrs,
-                          static_cast<int>(rng->Below(max_ops + 1)));
-    pds.push_back(rng->Chance(1, 2) ? Pd::Eq(l, r) : Pd::Leq(l, r));
-  }
-  return pds;
-}
-
-class ParallelSweepTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ParallelSweepTest, ParallelClosureEqualsSerialClosure) {
-  Rng rng(3000 + GetParam());
-  for (int trial = 0; trial < 4; ++trial) {
-    ExprArena arena;
-    std::vector<Pd> e = RandomTheory(&arena, &rng, 5, 8, 4);
-    PdImplicationEngine serial(&arena, e, EngineOptions{.num_threads = 1});
-    PdImplicationEngine parallel(&arena, e, EngineOptions{.num_threads = 4});
-    for (int q = 0; q < 10; ++q) {
-      ExprId l = RandomExpr(&arena, &rng, 5, 1 + q % 4);
-      ExprId r = RandomExpr(&arena, &rng, 5, 1 + (q + 1) % 4);
-      Pd query = q % 2 == 0 ? Pd::Leq(l, r) : Pd::Eq(l, r);
-      ASSERT_EQ(serial.Implies(query), parallel.Implies(query))
-          << arena.ToString(query);
-    }
-    // Identical least fixpoints: same V, same arc count.
-    ASSERT_EQ(serial.stats().num_vertices, parallel.stats().num_vertices);
-    ASSERT_EQ(serial.stats().num_arcs, parallel.stats().num_arcs);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ParallelSweepTest, ::testing::Range(0, 6));
-
-TEST(ParallelSweepTest, ChainClosureAcrossThreadCounts) {
-  // A0 <= ... <= A63 closes to the full upper-triangular relation; the
-  // arc count is independent of the sweep schedule.
-  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-    ExprArena arena;
-    std::vector<Pd> e;
-    const int n = 64;
-    for (int i = 0; i + 1 < n; ++i) {
-      e.push_back(Pd::Leq(arena.Attr("A" + std::to_string(i)),
-                          arena.Attr("A" + std::to_string(i + 1))));
-    }
-    PdImplicationEngine engine(&arena, e,
-                               EngineOptions{.num_threads = threads});
-    EXPECT_TRUE(engine.Implies(
-        Pd::Leq(arena.Attr("A0"), arena.Attr("A" + std::to_string(n - 1)))));
-    EXPECT_FALSE(engine.Implies(
-        Pd::Leq(arena.Attr("A" + std::to_string(n - 1)), arena.Attr("A0"))));
-    // n*(n+1)/2 order arcs.
-    EXPECT_EQ(engine.stats().num_arcs,
-              static_cast<std::size_t>(n) * (n + 1) / 2)
-        << "threads=" << threads;
-  }
-}
-
 // --- concurrent const reads ------------------------------------------------------
 
 TEST(ConcurrentReadTest, PreparedEngineServesManyReaderThreads) {
@@ -153,7 +91,7 @@ TEST(ConcurrentReadTest, PreparedEngineServesManyReaderThreads) {
     e.push_back(Pd::Leq(arena.Attr("A" + std::to_string(i)),
                         arena.Attr("A" + std::to_string(i + 1))));
   }
-  PdImplicationEngine engine(&arena, e, EngineOptions{.num_threads = 4});
+  PdImplicationEngine engine(&arena, e);
   std::vector<ExprId> attrs;
   for (int i = 0; i < n; ++i) attrs.push_back(arena.Attr("A" + std::to_string(i)));
   engine.Prepare(attrs);

@@ -94,7 +94,8 @@ TEST(ExprPrinterTest, MinimalParentheses) {
 TEST(ExprPrinterTest, RoundTrip) {
   ExprArena a;
   for (const char* text :
-       {"A", "A*B", "A+B", "A*(B+C*D)+E", "((A+B)+C)*D", "A*B*C+D+E*F"}) {
+       {"A", "A*B", "A+B", "A*(B+C*D)+E", "((A+B)+C)*D", "A*B*C+D+E*F",
+        "A*(B*C)", "A+(B+C)"}) {
     ExprId e = *a.Parse(text);
     EXPECT_EQ(*a.Parse(a.ToString(e)), e) << text;
   }

@@ -1,5 +1,5 @@
-// Execution-governance tests: every governed loop (ALG closure — serial,
-// parallel, incremental — the Whitman deciders, the chase, the repair
+// Execution-governance tests: every governed loop (ALG closure — cold and
+// incremental — the Whitman deciders, the chase, the repair
 // loop, and the NAE/CAD searches) must (a) surface a tripped deadline,
 // cancellation, or budget as the documented StatusCode, and (b) leave its
 // object fully usable: re-asking with a fresh context yields the same
@@ -169,24 +169,6 @@ TEST(GovernanceClosureTest, ArcBudgetTripsMidClosure) {
   EXPECT_EQ(*retry, cold.Implies(query));
 }
 
-TEST(GovernanceClosureTest, ParallelEngineHonorsDeadlineAndRecovers) {
-  ExprArena arena;
-  auto pds = ChainTheory(&arena, 14);
-  Pd query = *arena.ParsePd("A0*A1 <= A13");
-
-  EngineOptions opts;
-  opts.num_threads = 4;
-  PdImplicationEngine engine(&arena, pds, opts);
-  auto r = engine.Implies(query, Expired());
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
-
-  PdImplicationEngine cold(&arena, pds);
-  auto retry = engine.Implies(query, ExecContext::Unbounded());
-  ASSERT_TRUE(retry.ok());
-  EXPECT_EQ(*retry, cold.Implies(query));
-}
-
 TEST(GovernanceClosureTest, IncrementalClosureIsGovernedToo) {
   ExprArena arena;
   auto pds = ChainTheory(&arena, 12);
@@ -240,30 +222,45 @@ TEST(GovernanceBatchTest, VertexBudgetFailsOnlyTheOffendingQuery) {
   EXPECT_EQ(*results[2], cold.Implies(queries[2]));
 }
 
-TEST(GovernanceBatchTest, DeadlineFailsPendingQueriesKeepsCachedOnes) {
+TEST(GovernanceBatchTest, DeadlineFailsOnlyBatchesThatNeedAClosure) {
   ExprArena arena;
   auto pds = ChainTheory(&arena, 10);
   Pd q0 = *arena.ParsePd("A0 <= A9");
-  Pd q1 = *arena.ParsePd("A1*A2 <= A9");
+  Pd q1 = *arena.ParsePd("A1*A2 <= A9");  // A1*A2 is a constraint side
+  Pd fresh = *arena.ParsePd("A0*A2*A4 <= A5+A7");
 
   PdImplicationEngine engine(&arena, pds);
-  bool v0 = engine.Implies(q0);  // warms the cache for q0
-
-  std::vector<Pd> queries = {q0, q1};
-  auto results = engine.BatchImplies(queries, Expired());
-  ASSERT_EQ(results.size(), 2u);
-  // q0 was answerable from the cache without touching the closure.
-  ASSERT_TRUE(results[0].ok());
-  EXPECT_EQ(*results[0], v0);
-  // q1's subexpressions may already be covered by the warm closure (in
-  // which case it is answered without recomputing) or may require the
-  // expired-deadline closure. Accept either a verdict matching the cold
-  // engine or a clean deadline error — never a crash or a wrong verdict.
   PdImplicationEngine cold(&arena, pds);
-  if (results[1].ok()) {
-    EXPECT_EQ(*results[1], cold.Implies(q1));
-  } else {
-    EXPECT_EQ(results[1].status().code(), StatusCode::kResourceExhausted);
+  ASSERT_EQ(engine.Implies(q0), cold.Implies(q0));  // closes over E
+
+  // Every side is already in V and the closure is current: each verdict
+  // is a bit probe, so the expired deadline is never consulted.
+  std::vector<Pd> in_v = {q0, q1};
+  auto results = engine.BatchImplies(in_v, Expired());
+  ASSERT_EQ(results.size(), 2u);
+  for (std::size_t i = 0; i < in_v.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+    EXPECT_EQ(*results[i], cold.Implies(in_v[i]));
+  }
+  Result<bool> single = engine.Implies(q1, Expired());
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  EXPECT_EQ(*single, cold.Implies(q1));
+
+  // A fresh subexpression forces the batch's one shared closure, which
+  // the deadline stops: every query of that batch reports the error.
+  std::vector<Pd> needs_closure = {q0, fresh};
+  results = engine.BatchImplies(needs_closure, Expired());
+  ASSERT_EQ(results.size(), 2u);
+  for (const Result<bool>& r : results) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  }
+
+  // The engine stays usable: an unbounded retry resumes the closure.
+  results = engine.BatchImplies(needs_closure, ExecContext::Unbounded());
+  for (std::size_t i = 0; i < needs_closure.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+    EXPECT_EQ(*results[i], cold.Implies(needs_closure[i]));
   }
 }
 

@@ -220,6 +220,34 @@ TEST_F(SnapshotTest, ColdStartThenCleanRestore) {
   EXPECT_EQ(d->engine().constraints().size(), base.size() + 1);
 }
 
+// A right-nested constraint is journaled as text; the text must parse
+// back to the same ExprIds so replay matches it against the snapshot's E.
+TEST_F(SnapshotTest, RightNestedConstraintReplaysAsNoOpAfterCleanRestore) {
+  auto right_nested = [](ExprArena* arena) {
+    ExprId a = arena->Attr("A"), b = arena->Attr("B"), c = arena->Attr("C");
+    ExprId d = arena->Attr("D"), e = arena->Attr("E");
+    return Pd::Leq(arena->Product(a, arena->Product(b, c)),
+                   arena->Sum(d, arena->Sum(e, a)));
+  };
+  ExprArena arena;
+  auto base = BaseTheory(&arena);
+  {
+    auto d = DurablePdEngine::Recover(&arena, base, Opts());
+    ASSERT_TRUE(d.ok()) << d.status().ToString();
+    ASSERT_TRUE(d->AddPd(right_nested(&arena), ExecContext::Unbounded()).ok());
+    ASSERT_TRUE(d->Checkpoint(ExecContext::Unbounded()).ok());
+  }
+  ExprArena arena2;
+  auto base2 = BaseTheory(&arena2);
+  auto d = DurablePdEngine::Recover(&arena2, base2, Opts());
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  EXPECT_EQ(d->recovery().tier, RecoveryTier::kCleanRestore);
+  EXPECT_EQ(d->recovery().journal_records, 1u);
+  EXPECT_EQ(d->recovery().journal_replayed_new, 0u);
+  ASSERT_EQ(d->engine().constraints().size(), base.size() + 1);
+  EXPECT_EQ(d->engine().constraints().back(), right_nested(&arena2));
+}
+
 TEST_F(SnapshotTest, JournalAloneRecoversUncheckpointedConstraints) {
   ExprArena arena;
   auto base = BaseTheory(&arena);
@@ -511,14 +539,14 @@ TEST_F(SnapshotTest, CheckpointFaultDoesNotFailAddPd) {
 
 // --- incremental AddConstraint (engine-level) ---------------------------------
 
-TEST_F(SnapshotTest, AddConstraintMatchesFreshEngineAndDropsCache) {
+TEST_F(SnapshotTest, AddConstraintMatchesFreshEngineAndFlipsVerdict) {
   ExprArena arena;
   auto base = BaseTheory(&arena);
   Pd query = *arena.ParsePd("E <= A+C");
   PdImplicationEngine engine(&arena, base);
   bool before = engine.Implies(query);
 
-  // Growing E must be able to flip a cached "not implied" verdict.
+  // Growing E must be able to flip an earlier "not implied" verdict.
   Pd extra = *arena.ParsePd("E = E*(A+C)");  // E <= A+C, FPD-style
   engine.AddConstraint(extra);
   std::vector<Pd> full = base;
