@@ -1,11 +1,17 @@
 #include "lattice/expr.h"
 
+#include <atomic>
 #include <cassert>
 #include <cctype>
 
 #include "util/strings.h"
 
 namespace psem {
+
+uint64_t ExprArena::InstanceId::Next() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1);
+}
 
 ExprId ExprArena::InternNode(ExprKind kind, AttrId attr, ExprId l, ExprId r) {
   NodeKey key{kind, kind == ExprKind::kAttr ? attr : l,

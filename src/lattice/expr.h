@@ -129,6 +129,12 @@ class ExprArena {
   /// Number of nodes in the expression tree (attrs + operators).
   uint32_t TreeSize(ExprId id) const { return 2 * nodes_[id].complexity + 1; }
 
+  /// Identity of this arena's contents, unique within the process: fresh
+  /// on construction and on copy; a move hands it to the target and gives
+  /// the source a fresh one. Memoized evaluators (EvalContext) key on it,
+  /// because an address can be reused by an unrelated arena.
+  uint64_t instance_id() const { return instance_id_.value; }
+
   const StringInterner& attr_names() const { return attr_names_; }
   std::size_t num_attrs() const { return attr_names_.size(); }
   const std::string& AttrName(AttrId a) const { return attr_names_.NameOf(a); }
@@ -155,6 +161,25 @@ class ExprArena {
   // composite.
   void ToStringRec(ExprId id, bool parenthesize, std::string* out) const;
 
+  struct InstanceId {
+    InstanceId() : value(Next()) {}
+    InstanceId(const InstanceId&) : value(Next()) {}
+    InstanceId(InstanceId&& other) noexcept : value(other.value) {
+      other.value = Next();
+    }
+    InstanceId& operator=(const InstanceId&) {
+      value = Next();
+      return *this;
+    }
+    InstanceId& operator=(InstanceId&& other) noexcept {
+      value = other.value;
+      other.value = Next();
+      return *this;
+    }
+    static uint64_t Next();
+    uint64_t value;
+  };
+
   std::vector<Node> nodes_;
   // key: kind in top 2 bits semantics folded via tuple hash below.
   struct NodeKey {
@@ -175,6 +200,7 @@ class ExprArena {
   std::unordered_map<NodeKey, ExprId, NodeKeyHash> intern_;
   StringInterner attr_names_;
   std::vector<ExprId> attr_expr_;  // attr id -> expr id of its leaf node
+  InstanceId instance_id_;
 };
 
 /// The dual of an expression: swap every * with + (and vice versa). The

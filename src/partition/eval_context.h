@@ -1,5 +1,5 @@
 /// @file eval_context.h
-/// @brief Memoized bulk evaluation of lattice expressions over partition
+/// @brief Memoized evaluation of lattice expressions over partition
 /// interpretations, on the dense kernel layer.
 
 // EvalContext is the data-path counterpart of the hash-consed ExprArena:
@@ -8,24 +8,25 @@
 // bottom-up over the DAG (children of a node always have smaller ExprIds
 // than the node — the arena appends nodes after their operands), on dense
 // partitions over one interned PartitionUniverse, with results memoized
-// per (ExprId, interpretation epoch):
+// per ExprId for one binding (arena instance id, interpretation epoch):
 //
-//  * the interpretation's epoch is bumped by every DefineAttribute, so a
-//    mutated interpretation can never be served a stale partition — the
-//    first evaluation after a mutation flushes the memo;
+//  * binding rule: neither value is ever reused within a process. An
+//    ExprArena takes a fresh instance id on construction and on copy (a
+//    move hands its id over and gives the source a fresh one). Every
+//    DefineAttribute takes a fresh epoch from one process-wide counter,
+//    and a copied interpretation keeps its source's epoch. So neither a
+//    mutation nor an arena or interpretation re-created at a destroyed
+//    one's address can be served a stale partition: the first evaluation
+//    after a binding change flushes the memo;
 //  * the memo is LRU-bounded (default 4096 entries); values are
 //    shared_ptrs, so an eviction never invalidates a value an in-flight
 //    evaluation still holds;
 //  * hit/miss/eviction/flush counters are exposed AlgStats-style through
 //    stats().
 //
-// Bulk evaluation (EvalAll) groups the needed subexpressions into DAG
-// levels and evaluates each level as one ThreadPool::ParallelFor wave —
-// the barrier between waves guarantees every operand is ready, and each
-// band owns a private DenseOps so the kernels run allocation- and
-// lock-free. All entry points honor an ExecContext: on deadline, cancel,
-// or solver-node budget exhaustion they return the non-OK Status, keep
-// the partial stats, and leave the context reusable (completed waves stay
+// Both entry points honor an ExecContext: on deadline, cancel, or
+// solver-node budget exhaustion they return the non-OK Status, keep the
+// partial stats, and leave the context reusable (completed nodes stay
 // memoized; nothing half-written is published).
 //
 // Thread-compatibility: an EvalContext may be driven by one thread at a
@@ -47,12 +48,11 @@
 #include "partition/interpretation.h"
 #include "util/exec_context.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace psem {
 
-/// Counters for the memoized evaluator (AlgStats-style; cumulative until
-/// ResetStats).
+/// Counters for the memoized evaluator (AlgStats-style; cumulative over
+/// the context's lifetime).
 struct PartitionEvalStats {
   uint64_t memo_hits = 0;        ///< subexpressions served from the memo.
   uint64_t memo_misses = 0;      ///< subexpressions actually computed.
@@ -60,7 +60,6 @@ struct PartitionEvalStats {
   uint64_t epoch_flushes = 0;    ///< full flushes due to epoch/binding change.
   uint64_t kernel_ops = 0;       ///< dense Product/Sum kernel invocations.
   uint64_t exprs_evaluated = 0;  ///< root expressions returned to callers.
-  uint64_t parallel_waves = 0;   ///< ParallelFor level-waves executed.
 };
 
 /// Memoized evaluator. Bind-per-call: every entry point takes the arena
@@ -85,25 +84,7 @@ class EvalContext {
                          const PartitionInterpretation& interp, const Pd& pd,
                          const ExecContext& exec = ExecContext::Unbounded());
 
-  /// Evaluates every expression of `exprs` over one interpretation.
-  /// With a pool, shared subexpressions are computed once and each DAG
-  /// level runs as one parallel wave; pass nullptr for the serial path.
-  /// On a non-OK Status the output vector is empty, stats are partial,
-  /// and the context remains usable.
-  Result<std::vector<Partition>> EvalAll(
-      const ExprArena& arena, const PartitionInterpretation& interp,
-      std::span<const ExprId> exprs, ThreadPool* pool = nullptr,
-      const ExecContext& exec = ExecContext::Unbounded());
-
-  /// Bulk Satisfies over one interpretation (the pd_consistency /
-  /// discovery shape): verdict per Pd, sharing subexpression work.
-  Result<std::vector<bool>> SatisfiesAll(
-      const ExprArena& arena, const PartitionInterpretation& interp,
-      std::span<const Pd> pds, ThreadPool* pool = nullptr,
-      const ExecContext& exec = ExecContext::Unbounded());
-
   const PartitionEvalStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = PartitionEvalStats{}; }
 
   /// Drops every memoized value (keeps stats and capacity).
   void Flush();
@@ -119,8 +100,9 @@ class EvalContext {
     std::list<ExprId>::iterator lru;
   };
 
-  /// Re-binds to (arena, interp) if either changed or the epoch moved;
-  /// flushing the memo and rebuilding the universe when it did.
+  /// Re-binds to (arena, interp) if the arena's instance id or the
+  /// interpretation's epoch changed, flushing the memo and rebuilding the
+  /// universe when it did.
   void EnsureBound(const ExprArena& arena,
                    const PartitionInterpretation& interp);
 
@@ -132,25 +114,19 @@ class EvalContext {
   /// Memo lookup; touches LRU on hit and counts the hit.
   DenseRef Lookup(ExprId e);
 
-  /// Inserts a computed value (counts the miss; evicts LRU on overflow).
+  /// Inserts a value for an id not in the memo (counts the miss; evicts
+  /// LRU on overflow).
   void Insert(ExprId e, DenseRef value);
 
-  /// The workhorse: evaluates `e` bottom-up with memoization, serially.
+  /// The workhorse: evaluates `e` bottom-up with memoization.
   Result<DenseRef> EvalDense(const ExprArena& arena,
                              const PartitionInterpretation& interp, ExprId e,
                              const ExecContext& exec);
 
-  /// Wave-parallel evaluation of many roots; results per root.
-  Result<std::vector<DenseRef>> EvalDenseBulk(
-      const ExprArena& arena, const PartitionInterpretation& interp,
-      std::span<const ExprId> roots, ThreadPool* pool,
-      const ExecContext& exec);
-
-  // Binding identity: pointers + epoch. A dangling pointer is never
-  // dereferenced — it only ever participates in the equality test, and a
-  // reused address with a different epoch still flushes.
-  const void* bound_arena_ = nullptr;
-  const void* bound_interp_ = nullptr;
+  // Binding identity: the arena's instance id and the interpretation's
+  // epoch, neither reused within a process (0 = unbound; instance ids
+  // start at 1).
+  uint64_t bound_arena_ = 0;
   uint64_t bound_epoch_ = 0;
 
   PartitionUniverse universe_;
@@ -160,7 +136,7 @@ class EvalContext {
   std::unordered_map<ExprId, MemoEntry> memo_;
   std::list<ExprId> lru_;  // front = most recent
 
-  DenseOps ops_;  // serial-path scratch
+  DenseOps ops_;  // kernel scratch
   PartitionEvalStats stats_;
 };
 

@@ -1,10 +1,21 @@
 #include "partition/interpretation.h"
 
 #include <algorithm>
+#include <atomic>
+#include <utility>
 
 #include "partition/eval_context.h"
 
 namespace psem {
+
+namespace {
+
+uint64_t NextEpoch() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1);
+}
+
+}  // namespace
 
 PartitionInterpretation::PartitionInterpretation() = default;
 PartitionInterpretation::~PartitionInterpretation() = default;
@@ -30,17 +41,14 @@ PartitionInterpretation::PartitionInterpretation(
     PartitionInterpretation&& other) noexcept
     : attrs_(std::move(other.attrs_)),
       attr_order_(std::move(other.attr_order_)),
-      epoch_(other.epoch_) {
-  // The context binds to the source's address; dropping it instead of
-  // moving keeps the binding invariant trivially true.
-}
+      epoch_(std::exchange(other.epoch_, NextEpoch())) {}
 
 PartitionInterpretation& PartitionInterpretation::operator=(
     PartitionInterpretation&& other) noexcept {
   if (this == &other) return *this;
   attrs_ = std::move(other.attrs_);
   attr_order_ = std::move(other.attr_order_);
-  epoch_ = other.epoch_;
+  epoch_ = std::exchange(other.epoch_, NextEpoch());
   std::lock_guard<std::mutex> lock(eval_mu_);
   eval_ctx_.reset();
   return *this;
@@ -77,7 +85,7 @@ Status PartitionInterpretation::DefineAttribute(
   }
   if (!attrs_.count(name)) attr_order_.push_back(name);
   attrs_[name] = AttrInterp{std::move(atomic), naming, std::move(block_symbol)};
-  ++epoch_;  // invalidates every memoized evaluation of this interpretation
+  epoch_ = NextEpoch();  // invalidates every memoized evaluation of it
   return Status::OK();
 }
 

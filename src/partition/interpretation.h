@@ -36,8 +36,8 @@ class EvalContext;
 ///
 /// Evaluation (Eval/Satisfies) runs on the dense kernel layer through a
 /// private, lazily-created EvalContext (partition/eval_context.h): shared
-/// subexpressions are memoized per (ExprId, epoch), and the epoch — bumped
-/// by every DefineAttribute — guarantees no stale partition is ever served
+/// subexpressions are memoized per (ExprId, epoch), and the epoch — fresh
+/// on every DefineAttribute — guarantees no stale partition is ever served
 /// after a mutation. EvalSparse is the paper-literal reference path the
 /// differential tests pit the kernels against. Const access (including
 /// Eval/Satisfies, which lock the embedded context) is thread-safe.
@@ -88,9 +88,12 @@ class PartitionInterpretation {
   /// For the <= form: lhs == lhs * rhs. Memoized like Eval.
   Result<bool> Satisfies(const ExprArena& arena, const Pd& pd) const;
 
-  /// Mutation counter: bumped by every DefineAttribute. The memoized
-  /// evaluation path keys its cache on this, so observing an unchanged
-  /// epoch guarantees cached partitions are current.
+  /// Version of the contents: every DefineAttribute takes a fresh value
+  /// from one process-wide counter, a copy keeps its source's epoch, and
+  /// a moved-from object gets a fresh one. So two interpretations share an
+  /// epoch only while their contents are equal (0: nothing defined), and
+  /// the memoized evaluation path can key its cache on it, whatever
+  /// address the interpretation lives at.
   uint64_t epoch() const { return epoch_; }
 
   /// The atomic partition of `name` without copying, or nullptr when the

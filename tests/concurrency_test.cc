@@ -1,72 +1,26 @@
-// Concurrency tests, run under -fsanitize=thread in CI: the ThreadPool
-// primitive, concurrent const reads of a prepared engine, and the
-// const-qualified WhitmanIterative decider shared across threads.
+// Concurrency tests, run under -fsanitize=thread in CI. The library starts
+// no threads of its own; these tests check the const-concurrency it
+// promises to callers: a prepared engine, a shared partition
+// interpretation (Eval/Satisfies lock its memo), and the const-qualified
+// WhitmanIterative decider.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
+#include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/implication.h"
 #include "lattice/expr.h"
 #include "lattice/whitman.h"
+#include "partition/interpretation.h"
+#include "partition/partition.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace psem {
 namespace {
-
-// --- ThreadPool ----------------------------------------------------------------
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4u);
-  for (std::size_t n : {0u, 1u, 3u, 4u, 5u, 64u, 1000u}) {
-    std::vector<std::atomic<int>> hits(n);
-    pool.ParallelFor(n, [&](std::size_t, std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        hits[i].fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(hits[i].load(), 1) << "n=" << n << " i=" << i;
-    }
-  }
-}
-
-TEST(ThreadPoolTest, JoinIsABarrierBetweenPhases) {
-  ThreadPool pool(4);
-  std::vector<int> data(512, 0);
-  // Phase 1 writes; phase 2 reads every element written by phase 1 —
-  // any missing barrier shows up as a torn sum (and as a TSan race).
-  for (int round = 1; round <= 20; ++round) {
-    pool.ParallelFor(data.size(),
-                     [&](std::size_t, std::size_t lo, std::size_t hi) {
-                       for (std::size_t i = lo; i < hi; ++i) data[i] = round;
-                     });
-    std::atomic<long> sum{0};
-    pool.ParallelFor(data.size(),
-                     [&](std::size_t, std::size_t lo, std::size_t hi) {
-                       long local = 0;
-                       for (std::size_t i = lo; i < hi; ++i) local += data[i];
-                       sum.fetch_add(local, std::memory_order_relaxed);
-                     });
-    ASSERT_EQ(sum.load(), round * static_cast<long>(data.size()));
-  }
-}
-
-TEST(ThreadPoolTest, ReusableAcrossManySmallBatches) {
-  ThreadPool pool(3);
-  std::atomic<int> total{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.ParallelFor(7, [&](std::size_t, std::size_t lo, std::size_t hi) {
-      total.fetch_add(static_cast<int>(hi - lo), std::memory_order_relaxed);
-    });
-  }
-  EXPECT_EQ(total.load(), 200 * 7);
-}
 
 // --- random expressions ---------------------------------------------------------
 
@@ -113,6 +67,66 @@ TEST(ConcurrentReadTest, PreparedEngineServesManyReaderThreads) {
     });
   }
   for (auto& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(ConcurrentReadTest, SharedInterpretationServesManyThreads) {
+  // Eval and Satisfies are const and serialize on the interpretation's
+  // private memo, so four threads may share one interpretation. Every
+  // verdict is compared against EvalSparse results computed before the
+  // threads start.
+  Rng rng(77);
+  const std::size_t n = 24;
+  std::vector<Elem> pop(n);
+  for (std::size_t x = 0; x < n; ++x) pop[x] = static_cast<Elem>(x);
+  PartitionInterpretation interp;
+  for (const char* name : {"A", "B", "C", "D"}) {
+    std::vector<uint32_t> labels(n);
+    for (auto& l : labels) l = static_cast<uint32_t>(rng.Below(4));
+    Partition p = Partition::FromLabels(pop, labels);
+    std::unordered_map<std::string, uint32_t> naming;
+    for (uint32_t b = 0; b < p.num_blocks(); ++b) {
+      naming[std::string(name) + std::to_string(b)] = b;
+    }
+    ASSERT_TRUE(interp.DefineAttribute(name, std::move(p), naming).ok());
+  }
+
+  ExprArena arena;
+  struct Case {
+    ExprId e;
+    Partition value;
+    Pd pd;
+    bool holds;
+  };
+  std::vector<Case> cases;
+  for (int i = 0; i < 40; ++i) {
+    ExprId e = RandomExpr(&arena, &rng, 4, 1 + i % 6);
+    ExprId f = RandomExpr(&arena, &rng, 4, 1 + (i + 3) % 6);
+    Pd pd = i % 2 == 0 ? Pd::Eq(e, f) : Pd::Leq(e, f);
+    Partition l = *interp.EvalSparse(arena, e);
+    Partition r = *interp.EvalSparse(arena, f);
+    bool holds = pd.is_equation ? l == r : l == Partition::Product(l, r);
+    cases.push_back({e, std::move(l), pd, holds});
+  }
+
+  const PartitionInterpretation& shared = interp;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 5; ++round) {
+        for (std::size_t k = 0; k < cases.size(); ++k) {
+          // Each thread walks the list from its own offset.
+          const Case& c = cases[(k + 10 * t) % cases.size()];
+          Result<Partition> value = shared.Eval(arena, c.e);
+          Result<bool> holds = shared.Satisfies(arena, c.pd);
+          if (!value.ok() || *value != c.value) mismatches.fetch_add(1);
+          if (!holds.ok() || *holds != c.holds) mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
   EXPECT_EQ(mismatches.load(), 0);
 }
 
