@@ -7,6 +7,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "psem.h"
 #include "workloads.h"
 
@@ -133,6 +135,62 @@ void BM_ClosureDenseRandom(benchmark::State& state) {
 BENCHMARK(BM_ClosureDenseRandom)
     ->Arg(512)->Arg(2048)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
+
+// --- incremental closure on a closed chain -----------------------------------
+//
+// Lemma 9.2 keeps every arc between existing vertices when V grows, and
+// the closure only grows with E, so growing V or E on a closed theory
+// should cost a fraction of a cold closure. Both
+// benchmarks close the chain A0 <= ... <= A(n-1) outside the timed region
+// and time only the incremental step; BM_ClosureSparseChain at the same n
+// is the cold cost they are read against.
+
+// One fresh query (x*y) <= (u+v): two new vertices whose valuations lie
+// across the chain.
+void BM_IncrementalFreshQuery(benchmark::State& state) {
+  ExprArena arena;
+  const int n = static_cast<int>(state.range(0));
+  std::vector<Pd> pds = ChainTheory(&arena, n);
+  auto attr = [&](int k) { return arena.Attr("A" + std::to_string(k)); };
+  const Pd query = Pd::Leq(arena.Product(attr(n / 4), attr(3 * n / 4)),
+                           arena.Sum(attr(n / 2), attr(7 * n / 8)));
+  std::optional<PdImplicationEngine> engine;  // torn down while paused
+  for (auto _ : state) {
+    state.PauseTiming();
+    engine.emplace(&arena, pds);
+    engine->Prepare({});
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(engine->Implies(query));
+  }
+  state.counters["V"] = static_cast<double>(n + 2);
+}
+BENCHMARK(BM_IncrementalFreshQuery)->Arg(2048)->Unit(benchmark::kMillisecond);
+
+// 64 links A(n-1) <= An <= ... <= A(n+63) added with AddConstraint, then
+// the closure that makes the next verdict a bit probe.
+void BM_IncrementalChainExtend(benchmark::State& state) {
+  ExprArena arena;
+  const int n = static_cast<int>(state.range(0));
+  constexpr int kLinks = 64;
+  std::vector<Pd> pds = ChainTheory(&arena, n);
+  std::vector<Pd> links;
+  for (int k = 0; k < kLinks; ++k) {
+    links.push_back(Pd::Leq(arena.Attr("A" + std::to_string(n - 1 + k)),
+                            arena.Attr("A" + std::to_string(n + k))));
+  }
+  std::optional<PdImplicationEngine> engine;
+  for (auto _ : state) {
+    state.PauseTiming();
+    engine.emplace(&arena, pds);
+    engine->Prepare({});
+    state.ResumeTiming();
+    for (const Pd& link : links) engine->AddConstraint(link);
+    engine->Prepare({});
+    benchmark::DoNotOptimize(engine->stats().num_arcs);
+  }
+  state.counters["V"] = static_cast<double>(n + kLinks);
+}
+BENCHMARK(BM_IncrementalChainExtend)->Arg(2048)->Unit(benchmark::kMillisecond);
 
 // Repeated queries against one prepared engine (the amortized mode).
 void BM_AlgEnginePreparedQueries(benchmark::State& state) {

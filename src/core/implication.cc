@@ -1,5 +1,6 @@
 #include "core/implication.h"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <chrono>
@@ -145,9 +146,30 @@ Status PdImplicationEngine::ComputeClosure(const ExecContext& ctx) {
       // Composite catch-up: a new composite over old children missed the
       // children's already-consumed deltas, so it takes their current
       // rows (rules 3/2) and columns (rules 5/4) once, full width; any
-      // later child growth reaches it through the parents_ index. New
-      // children need no catch-up (their arcs are all still unconsumed)
-      // but including them is sound and idempotent.
+      // later child growth reaches it through the parents_ index.
+      //
+      // A column arc (s, m) lifted from a consumed arc into a child is
+      // planted already consumed: the bit, the scatter into down_[m], and
+      // the rule 3/2 pulls of s's parents. The rest of its consumption is
+      // covered elsewhere. Rule 7 forward: all of up_[m] is still on m's
+      // frontier, and m's drain pushes it to down_[m] ∋ s. Rule 7
+      // backward: every predecessor of s is itself below the child, so it
+      // is lifted here or probes m when it consumes its own arc into the
+      // child. Rules 5/4 for m's parents: they are new, intern after m,
+      // and lift from down_[m] in their own catch-up. Planted as frontier
+      // bits instead, every s would push m to all of down_[s] — on a
+      // chain, a quadratic sweep of no-op pushes.
+      auto lift = [&](std::size_t s, uint32_t m) {
+        if (up_[s].Test(m)) return;
+        up_[s].Set(m);
+        ++arc_count_;
+        down_[m].Set(static_cast<uint32_t>(s));
+        for (const auto& [p, o] : parents_[s]) {
+          if (kind_[p] == ExprKind::kProduct || up_[o].Test(m)) {
+            TrySetArc(p, m);
+          }
+        }
+      };
       for (std::size_t m = old_n; m < n; ++m) {
         if (lhs_[m] == kNoVertex) continue;
         const uint32_t l = lhs_[m], r = rhs_[m];
@@ -164,15 +186,11 @@ Status PdImplicationEngine::ComputeClosure(const ExecContext& ctx) {
         // Column side via the incrementally maintained predecessor
         // index: every consumed arc into a child lifts to the parent.
         if (kind_[m] == ExprKind::kSum) {
-          down_[l].ForEach([&](std::size_t s) {
-            TrySetArc(static_cast<uint32_t>(s), mi);
-          });
-          down_[r].ForEach([&](std::size_t s) {
-            TrySetArc(static_cast<uint32_t>(s), mi);
-          });
+          down_[l].ForEach([&](std::size_t s) { lift(s, mi); });
+          down_[r].ForEach([&](std::size_t s) { lift(s, mi); });
         } else {
           down_[l].ForEach([&](std::size_t s) {
-            if (up_[s].Test(r)) TrySetArc(static_cast<uint32_t>(s), mi);
+            if (up_[s].Test(r)) lift(s, mi);
           });
         }
       }
@@ -305,13 +323,19 @@ Status PdImplicationEngine::DeltaFixpoint(const ExecContext& ctx) {
 //                 join (word-parallel, skips j's empty words);
 //   rules 5/4   — parents of j probe the single bit (i, parent).
 // After the row drains, with S = everything consumed from it this visit:
-//   rule 7 bwd  — every predecessor p ∈ down_[i] takes S (delta-width);
-//   rules 3/2   — every parent of i takes S (product) or S ∩ sibling row
-//                 (sum), word-parallel.
+//   rule 7 bwd  — every predecessor p ∈ down_[i] takes S, consumed on
+//                 delivery (see below);
+//   rules 3/2   — every parent of i, and of each p that gained bits,
+//                 takes S (product) or S ∩ sibling row (sum).
+// All pushes are delta-width: they scan only the words between the first
+// and last occupied word of S, tracked as bits enter S. On a warm start
+// down_[i] is a whole transitively closed predecessor set while S is
+// often one word, so a full-width push would cost |down_[i]| * n/64.
 Status PdImplicationEngine::SparseRound(const std::vector<uint32_t>& worklist,
                                         const ExecContext& ctx,
                                         std::size_t* consumed_strider) {
   const std::size_t n = vertices_.size();
+  const std::size_t words = (n + 63) / 64;
   const bool governed = !ctx.unbounded();
   const auto rules_start = SteadyClock::now();
   DynamicBitset scratch(n);
@@ -326,10 +350,17 @@ Status PdImplicationEngine::SparseRound(const std::vector<uint32_t>& worklist,
       continue;
     }
     scratch.Clear();
+    // Occupied words [lo, hi) of scratch, widened as bits enter it.
+    std::size_t lo = SIZE_MAX, hi = 0;
+    auto widen = [&](std::size_t k) {
+      lo = std::min(lo, k);
+      hi = std::max(hi, k + 1);
+    };
     std::size_t j;
     while ((j = delta_up_[i].NextSetBit(0)) < n) {
       delta_up_[i].Reset(j);
       scratch.Set(j);
+      widen(j >> 6);
       down_[j].Set(i);
       if (j != i) {
         if (!dirty_rows_.Test(j)) {
@@ -344,14 +375,25 @@ Status PdImplicationEngine::SparseRound(const std::vector<uint32_t>& worklist,
           if (added) {
             arc_count_ += added;
             scratch.UnionWith(gained);
-            gained.ForEach([&](std::size_t g) {
-              down_[g].Set(i);
-              for (const auto& [m, o] : parents_[g]) {
-                if (kind_[m] == ExprKind::kSum || up_[i].Test(o)) {
-                  TrySetArc(i, m);
+            // Word by word, with the word held in a register: the span
+            // of S widens once per word, and no down_ store below forces
+            // a re-read of `gained`.
+            for (std::size_t k = 0; k < words; ++k) {
+              uint64_t gw = gained.word(k);
+              if (!gw) continue;
+              widen(k);
+              do {
+                const std::size_t g =
+                    (k << 6) + static_cast<std::size_t>(__builtin_ctzll(gw));
+                gw &= gw - 1;
+                down_[g].Set(i);
+                for (const auto& [m, o] : parents_[g]) {
+                  if (kind_[m] == ExprKind::kSum || up_[i].Test(o)) {
+                    TrySetArc(i, m);
+                  }
                 }
-              }
-            });
+              } while (gw);
+            }
           }
         } else {
           arc_count_ += up_[i].OrInPlaceCountNew(up_[j], &delta_up_[i]);
@@ -375,27 +417,58 @@ Status PdImplicationEngine::SparseRound(const std::vector<uint32_t>& worklist,
         }
       }
     }
-    // Rule 7, delta on the right: predecessors absorb the drained bits.
-    for (std::size_t p = down_[i].NextSetBit(0); p < n;
-         p = down_[i].NextSetBit(p + 1)) {
-      if (p == i) continue;
-      std::size_t added = up_[p].OrInPlaceCountNew(scratch, &delta_up_[p]);
-      if (added) {
+    // Rules 3/2 for row v: parents absorb S (product) or S ∩ sibling row
+    // (sum) as frontier bits.
+    auto pull_parents = [&](uint32_t v) {
+      for (const auto& [m, o] : parents_[v]) {
+        std::size_t added =
+            kind_[m] == ExprKind::kProduct
+                ? up_[m].OrInPlaceCountNew(scratch, &delta_up_[m], lo, hi)
+                : up_[m].OrAndInPlaceCountNew(scratch, up_[o], &delta_up_[m],
+                                              lo, hi);
+        if (added) {
+          arc_count_ += added;
+          dirty_rows_.Set(m);
+        }
+      }
+    };
+    // Rule 7, delta on the right: predecessors absorb the drained bits,
+    // consumed on delivery. A new arc (p, g), g in S, gets its scatter,
+    // rules 5/4 and its rules 3/2 for p's parents here. Its rule 7 joins
+    // are not needed: up_[g] is in up_[i], which p holds since it
+    // consumed (p, i); and each predecessor q of p either is in down_[i]
+    // itself, so takes S in this loop, or has (q, i) still to consume,
+    // whose forward join brings S. On a warm start this spares each p a
+    // full-width forward join per bit of S and a push of S to all of
+    // down_[p]. down_[i] does not change here, so its words are walked in
+    // registers like `gained` above, which now holds the bits new to p.
+    gained.Clear();
+    for (std::size_t k = 0; k < words; ++k) {
+      for (uint64_t dw = down_[i].word(k); dw; dw &= dw - 1) {
+        const uint32_t p =
+            static_cast<uint32_t>((k << 6) + __builtin_ctzll(dw));
+        if (p == i) continue;
+        const std::size_t added =
+            up_[p].OrInPlaceCountNew(scratch, &gained, lo, hi);
+        if (!added) continue;
         arc_count_ += added;
-        dirty_rows_.Set(static_cast<uint32_t>(p));
+        for (std::size_t gk = lo; gk < hi; ++gk) {
+          for (uint64_t gw = gained.word(gk); gw; gw &= gw - 1) {
+            const std::size_t g =
+                (gk << 6) + static_cast<std::size_t>(__builtin_ctzll(gw));
+            down_[g].Set(p);
+            for (const auto& [m, o] : parents_[g]) {
+              if (kind_[m] == ExprKind::kSum || up_[p].Test(o)) {
+                TrySetArc(p, m);
+              }
+            }
+          }
+          gained.set_word(gk, 0);
+        }
+        pull_parents(p);
       }
     }
-    // Rules 3/2: parents absorb the drained bits.
-    for (const auto& [m, o] : parents_[i]) {
-      std::size_t added =
-          kind_[m] == ExprKind::kProduct
-              ? up_[m].OrInPlaceCountNew(scratch, &delta_up_[m])
-              : up_[m].OrAndInPlaceCountNew(scratch, up_[o], &delta_up_[m]);
-      if (added) {
-        arc_count_ += added;
-        dirty_rows_.Set(m);
-      }
-    }
+    pull_parents(i);
     dirty_rows_.Reset(i);
   }
   stats_.rules_seconds += SecondsSince(rules_start);

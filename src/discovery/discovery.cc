@@ -55,7 +55,8 @@ Result<std::vector<Fd>> DiscoverFds(const Database& db, const Relation& r,
   DenseOps ops;
   std::vector<DensePartition> column = DenseColumns(r, &ops);
 
-  // Stripped PLI of a column set, cached by mask: singleton blocks never
+  // Stripped PLI of a column set, cached by mask while the search can
+  // still reuse it (see the loop below): singleton blocks never
   // participate in a refinement violation, so each intersection touches
   // only the surviving clustered rows (the TANE recipe).
   std::unordered_map<ColMask, StrippedPartition> set_pli;
@@ -98,7 +99,21 @@ Result<std::vector<Fd>> DiscoverFds(const Database& db, const Relation& r,
     int pa = __builtin_popcount(a), pb = __builtin_popcount(b);
     return pa != pb ? pa < pb : a < b;
   });
+  // A mask of popcount k builds on the cached set of its popcount k-1
+  // `rest` only. So the levels below k-1 are dropped as the search moves
+  // up, and a top-level set once its own mask is done: no later mask
+  // builds on it. pli_of recomputes a dropped set on a miss, so the
+  // output cannot change.
+  const int top = static_cast<int>(std::min(options.max_lhs_size, arity));
+  int level = 0;
   for (ColMask x : masks) {
+    const int k = __builtin_popcount(x);
+    if (k != level) {
+      level = k;
+      std::erase_if(set_pli, [k](const auto& entry) {
+        return __builtin_popcount(entry.first) <= k - 2;
+      });
+    }
     for (std::size_t a = 0; a < arity; ++a) {
       if (x & (ColMask{1} << a)) continue;  // trivial
       // Minimality: skip if a subset lhs already determines a.
@@ -120,6 +135,7 @@ Result<std::vector<Fd>> DiscoverFds(const Database& db, const Relation& r,
       out.push_back(Fd{std::move(lhs), std::move(rhs)});
       if (out.size() >= options.max_results) return out;
     }
+    if (k == top) set_pli.erase(x);
   }
   return out;
 }

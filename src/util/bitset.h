@@ -6,6 +6,7 @@
 #ifndef PSEM_UTIL_BITSET_H_
 #define PSEM_UTIL_BITSET_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -88,12 +89,19 @@ class DynamicBitset {
   /// into *newly. One scan over every word: OR plus popcount of the
   /// difference, with no write where `other` adds nothing. This is the
   /// kernel behind the semi-naive ALG closure's exact running arc counter.
+  ///
+  /// Only backing words [word_begin, word_end) are scanned (word_end is
+  /// clamped to the row). The result equals the full-width union whenever
+  /// `other` is zero outside that range; the default is the whole row.
   std::size_t OrInPlaceCountNew(const DynamicBitset& other,
-                                DynamicBitset* newly = nullptr) {
+                                DynamicBitset* newly = nullptr,
+                                std::size_t word_begin = 0,
+                                std::size_t word_end = SIZE_MAX) {
     assert(num_bits_ == other.num_bits_);
     assert(newly == nullptr || newly->num_bits_ == num_bits_);
     std::size_t added = 0;
-    for (std::size_t k = 0; k < words_.size(); ++k) {
+    word_end = std::min(word_end, words_.size());
+    for (std::size_t k = word_begin; k < word_end; ++k) {
       uint64_t ow = other.words_[k];
       if (!ow) continue;
       uint64_t fresh = ow & ~words_[k];
@@ -106,14 +114,17 @@ class DynamicBitset {
   }
 
   /// In-place union with (a AND b), counting and recording newly set bits
-  /// exactly like OrInPlaceCountNew.
+  /// exactly like OrInPlaceCountNew, over the same word range.
   std::size_t OrAndInPlaceCountNew(const DynamicBitset& a,
                                    const DynamicBitset& b,
-                                   DynamicBitset* newly = nullptr) {
+                                   DynamicBitset* newly = nullptr,
+                                   std::size_t word_begin = 0,
+                                   std::size_t word_end = SIZE_MAX) {
     assert(num_bits_ == a.num_bits_ && num_bits_ == b.num_bits_);
     assert(newly == nullptr || newly->num_bits_ == num_bits_);
     std::size_t added = 0;
-    for (std::size_t k = 0; k < words_.size(); ++k) {
+    word_end = std::min(word_end, words_.size());
+    for (std::size_t k = word_begin; k < word_end; ++k) {
       uint64_t ow = a.words_[k] & b.words_[k];
       if (!ow) continue;
       uint64_t fresh = ow & ~words_[k];

@@ -10,7 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/fd_theory.h"
@@ -20,6 +24,7 @@
 #include "lattice/finite_lattice.h"
 #include "lattice/whitman.h"
 #include "partition/partition_lattice.h"
+#include "util/bitset.h"
 #include "util/exec_context.h"
 #include "util/rng.h"
 
@@ -279,6 +284,218 @@ TEST_P(DeltaClosureDifferentialTest, AllConfigurationsMatchNaive) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeltaClosureDifferentialTest,
                          ::testing::Range(0, 20));
+
+// --- incremental closure on multi-word rows ------------------------------------
+//
+// The incremental tests above use three attributes, so every row is one
+// word. Here V spans several words (chains of 130-300 attributes) and
+// grows by fresh product and sum queries over the whole chain, and by
+// chain links, side links and equations added with AddConstraint. After
+// every step, three warm engines — default, forced dense, and
+// budget-starved (aborted and resumed) — must hold exactly the closure
+// of a cold engine built over the same E and V, and the cold engine must
+// match ReferenceClosure. After each equation the starved engine is left
+// mid-closure, so the next step's closure resumes from a partial one; it
+// is compared once that closure completes.
+
+// Independent reference: the rules of ALG applied to whole rows over V,
+// pass after pass, until a pass adds no arc. No frontier, no worklist,
+// no warm start. Rule 1 seeds attributes only, as in the paper.
+std::vector<DynamicBitset> ReferenceClosure(const ExprArena& arena,
+                                            const std::vector<Pd>& e,
+                                            const std::vector<ExprId>& v) {
+  const std::size_t n = v.size();
+  std::unordered_map<ExprId, std::size_t> at;
+  for (std::size_t k = 0; k < n; ++k) at[v[k]] = k;
+  std::vector<DynamicBitset> up(n, DynamicBitset(n));
+  for (std::size_t k = 0; k < n; ++k) {
+    if (arena.IsAttr(v[k])) up[k].Set(k);  // rule 1
+  }
+  for (const Pd& pd : e) {  // rule 6
+    up[at[pd.lhs]].Set(at[pd.rhs]);
+    if (pd.is_equation) up[at[pd.rhs]].Set(at[pd.lhs]);
+  }
+  auto arcs = [&] {
+    std::size_t count = 0;
+    for (const DynamicBitset& row : up) count += row.Count();
+    return count;
+  };
+  for (bool changed = true; changed;) {
+    const std::size_t before = arcs();
+    for (std::size_t x = 0; x < n; ++x) {
+      if (arena.IsAttr(v[x])) continue;
+      const std::size_t p = at[arena.LhsOf(v[x])], q = at[arena.RhsOf(v[x])];
+      const bool sum = arena.KindOf(v[x]) == ExprKind::kSum;
+      for (std::size_t s = 0; s < n; ++s) {
+        // Rules 2/3: x <= s from the rows of its children.
+        if (sum ? up[p].Test(s) && up[q].Test(s)
+                : up[p].Test(s) || up[q].Test(s)) {
+          up[x].Set(s);
+        }
+        // Rules 5/4: s <= x from the columns of its children.
+        if (sum ? up[s].Test(p) || up[s].Test(q)
+                : up[s].Test(p) && up[s].Test(q)) {
+          up[s].Set(x);
+        }
+      }
+    }
+    for (std::size_t a = 0; a < n; ++a) {  // rule 7
+      for (std::size_t b = 0; b < n; ++b) {
+        if (up[a].Test(b)) up[a].UnionWith(up[b]);
+      }
+    }
+    changed = arcs() != before;
+  }
+  return up;
+}
+
+TEST(IncrementalClosureTest, WideGrowthMatchesColdClosure) {
+  for (int seed = 0; seed < 3; ++seed) {
+    Rng rng(9300 + seed);
+    ExprArena arena;
+    int top = 130 + static_cast<int>(rng.Below(171));  // chain length
+    auto chain = [&](int k) { return arena.Attr("c" + std::to_string(k)); };
+    auto side = [&](int k) { return arena.Attr("d" + std::to_string(k)); };
+    auto any = [&] { return chain(static_cast<int>(rng.Below(top))); };
+    std::vector<int> sides;  // side attributes introduced so far
+    auto any_side = [&] { return side(sides[rng.Below(sides.size())]); };
+    std::vector<Pd> e;
+    for (int k = 0; k + 1 < top; ++k) e.push_back(Pd::Leq(chain(k), chain(k + 1)));
+    // c_lo = c_hi * d and c_hi = c_lo + d leave the chain order intact.
+    auto equation = [&](int k) {
+      const int a = static_cast<int>(rng.Below(top));
+      const int b = static_cast<int>(rng.Below(top));
+      const int lo = std::min(a, b), hi = std::max(a, b);
+      sides.push_back(k);
+      return rng.Chance(1, 2) ? Pd::Eq(chain(lo), arena.Product(chain(hi), side(k)))
+                              : Pd::Eq(chain(hi), arena.Sum(chain(lo), side(k)));
+    };
+    for (int k = 0; k < 3; ++k) e.push_back(equation(k));
+
+    PdImplicationEngine plain(&arena, e);
+    PdImplicationEngine dense(
+        &arena, e,
+        EngineOptions{.dense_min_rows = 1, .dense_inv_density = SIZE_MAX});
+    PdImplicationEngine starved(&arena, e);
+    bool saw_abort = false;
+    auto close = [&](std::span<const ExprId> exprs) {
+      plain.Prepare(exprs);
+      dense.Prepare(exprs);
+      for (uint64_t slack = 1;; slack *= 4) {
+        ExecContext ctx;
+        ctx.WithMaxArcs(starved.stats().num_arcs + slack);
+        if (starved.Prepare(exprs, ctx).ok()) break;
+        saw_abort = true;
+        ASSERT_LT(slack, uint64_t{1} << 40);
+      }
+    };
+    // Aborts the starved engine's closure once it has made progress past
+    // seeding, and leaves it there.
+    int partials = 0;
+    auto leave_partial = [&] {
+      std::size_t seeded = SIZE_MAX;
+      for (uint64_t slack = 1;; slack *= 4) {
+        ExecContext ctx;
+        ctx.WithMaxArcs(starved.stats().num_arcs + slack);
+        if (starved.Prepare({}, ctx).ok()) return;
+        saw_abort = true;
+        if (starved.stats().num_arcs > seeded) {
+          ++partials;
+          return;
+        }
+        seeded = starved.stats().num_arcs;
+      }
+    };
+    auto add = [&](const Pd& pd) {
+      plain.AddConstraint(pd);
+      dense.AddConstraint(pd);
+      starved.AddConstraint(pd);
+    };
+
+    close({});
+    for (int step = 0; step < 12; ++step) {
+      std::string what;
+      bool starved_partial = false;
+      switch (step % 4) {
+        case 0: {  // fresh (x*y) <= (u+v), sometimes nested one deeper
+          ExprId p = arena.Product(any(), any());
+          ExprId s = arena.Sum(rng.Chance(1, 2) ? any() : any_side(), any());
+          if (rng.Chance(1, 2)) p = arena.Sum(p, any());
+          const ExprId fresh[] = {p, s};
+          close(fresh);
+          what = "query " + arena.ToString(p) + " <= " + arena.ToString(s);
+          break;
+        }
+        case 1: {  // extend the chain across a word boundary or two
+          const int links = 1 + static_cast<int>(rng.Below(70));
+          for (int k = 0; k < links; ++k, ++top) {
+            add(Pd::Leq(chain(top - 1), chain(top)));
+          }
+          close({});
+          what = std::to_string(links) + " links";
+          break;
+        }
+        case 2: {  // a side attribute below some chain attribute
+          const Pd pd = Pd::Leq(any_side(), any());
+          add(pd);
+          close({});
+          what = "side link " + arena.ToString(pd);
+          break;
+        }
+        case 3: {  // one more equation
+          const Pd pd = equation(3 + step);
+          add(pd);
+          plain.Prepare({});
+          dense.Prepare({});
+          leave_partial();
+          starved_partial = true;
+          what = "equation " + arena.ToString(pd);
+          break;
+        }
+      }
+      PdImplicationEngine cold(&arena, plain.constraints());
+      cold.Prepare(plain.vertices());
+      const std::vector<ExprId>& v = cold.vertices();
+      const std::vector<DynamicBitset> ref =
+          ReferenceClosure(arena, cold.constraints(), v);
+      std::size_t ref_arcs = 0;
+      for (std::size_t a = 0; a < v.size(); ++a) {
+        ref_arcs += ref[a].Count();
+        for (std::size_t b = 0; b < v.size(); ++b) {
+          if (cold.LeqInClosure(v[a], v[b]) != ref[a].Test(b)) {
+            FAIL() << "cold after " << what << " (seed " << seed
+                   << "): " << arena.ToString(v[a]) << " <= "
+                   << arena.ToString(v[b]);
+          }
+        }
+      }
+      ASSERT_EQ(cold.stats().num_arcs, ref_arcs)
+          << "cold after " << what << " (seed " << seed << ")";
+      for (const PdImplicationEngine* warm : {&plain, &dense, &starved}) {
+        if (warm == &starved && starved_partial) continue;
+        const char* name = warm == &plain   ? "default"
+                           : warm == &dense ? "forced dense"
+                                            : "starved";
+        ASSERT_EQ(warm->vertices().size(), v.size()) << name << " after " << what;
+        ASSERT_EQ(warm->stats().num_arcs, cold.stats().num_arcs)
+            << name << " after " << what << " (seed " << seed << ")";
+        for (ExprId a : v) {
+          for (ExprId b : v) {
+            if (warm->LeqInClosure(a, b) != cold.LeqInClosure(a, b)) {
+              FAIL() << name << " after " << what << " (seed " << seed
+                     << "): " << arena.ToString(a) << " <= "
+                     << arena.ToString(b);
+            }
+          }
+        }
+      }
+    }
+    EXPECT_TRUE(saw_abort);
+    EXPECT_GE(partials, 1);
+    EXPECT_GE(starved.stats().aborted_closures, 1u);
+    EXPECT_EQ(plain.stats().cold_closures, 1u);
+  }
+}
 
 // --- soundness against lattice models ------------------------------------------
 

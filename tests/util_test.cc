@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "util/bitset.h"
 #include "util/interner.h"
@@ -342,10 +345,61 @@ TEST(BitsetTest, OrWithMatchesUnionWith) {
   }
 }
 
+// The word-ranged kernels must equal the full-width ones whenever the
+// source is zero outside the range: same count, same result, same newly
+// bits. Every range [begin, end) over the row is tried, empty ones and
+// ones ending on the tail word included, plus an end past the row.
+TEST(BitsetTest, RangedCountNewKernelsMatchFullWidth) {
+  Rng rng(2024);
+  for (std::size_t n : {1u, 63u, 64u, 65u, 200u}) {
+    const std::size_t words = (n + 63) / 64;
+    std::vector<std::pair<std::size_t, std::size_t>> ranges;
+    for (std::size_t b = 0; b <= words; ++b) {
+      for (std::size_t e = b; e <= words; ++e) ranges.emplace_back(b, e);
+      ranges.emplace_back(b, SIZE_MAX);
+    }
+    for (auto [begin, end] : ranges) {
+      for (int trial = 0; trial < 8; ++trial) {
+        DynamicBitset dst(n), src(n), other(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::size_t k = i / 64;
+          if (rng.Below(3) == 0) dst.Set(i);
+          if (k >= begin && k < end && rng.Below(2) == 0) src.Set(i);
+          if (rng.Below(2) == 0) other.Set(i);
+        }
+
+        DynamicBitset full = dst, ranged = dst;
+        DynamicBitset full_newly(n), ranged_newly(n);
+        const std::size_t want = full.OrInPlaceCountNew(src, &full_newly);
+        EXPECT_EQ(ranged.OrInPlaceCountNew(src, &ranged_newly, begin, end),
+                  want)
+            << "n=" << n << " range [" << begin << ", " << end << ")";
+        EXPECT_EQ(ranged, full);
+        EXPECT_EQ(ranged_newly, full_newly);
+
+        full = dst;
+        ranged = dst;
+        full_newly.Clear();
+        ranged_newly.Clear();
+        const std::size_t want_and =
+            full.OrAndInPlaceCountNew(src, other, &full_newly);
+        EXPECT_EQ(ranged.OrAndInPlaceCountNew(src, other, &ranged_newly,
+                                              begin, end),
+                  want_and)
+            << "n=" << n << " range [" << begin << ", " << end << ")";
+        EXPECT_EQ(ranged, full);
+        EXPECT_EQ(ranged_newly, full_newly);
+      }
+    }
+  }
+}
+
 TEST(BitsetTest, CountNewKernelsOnZeroLengthSets) {
   DynamicBitset a(0), b(0), newly(0);
   EXPECT_EQ(a.OrInPlaceCountNew(b), 0u);
   EXPECT_EQ(a.OrAndInPlaceCountNew(b, b, &newly), 0u);
+  EXPECT_EQ(a.OrInPlaceCountNew(b, &newly, 0, 0), 0u);
+  EXPECT_EQ(a.OrAndInPlaceCountNew(b, b, &newly, 0, SIZE_MAX), 0u);
   a.OrWith(b);
   a.AndNot(b, b);
   EXPECT_EQ(a.size(), 0u);
