@@ -318,9 +318,9 @@ Status PdImplicationEngine::DeltaFixpoint(const ExecContext& ctx) {
 // One sparse round: Gauss-Seidel over the worklist rows, draining each
 // row's frontier in place (bits derived mid-row are consumed in the same
 // visit). Per consumed arc (i, j):
-//   scatter     — down_[j] gains i (incremental transpose maintenance);
 //   rule 7 fwd  — up_[i] |= up_[j], the new-arc side of the semi-naive
 //                 join (word-parallel, skips j's empty words);
+//   scatter     — down_[j] gains i (incremental transpose maintenance);
 //   rules 5/4   — parents of j probe the single bit (i, parent).
 // After the row drains, with S = everything consumed from it this visit:
 //   rule 7 bwd  — every predecessor p ∈ down_[i] takes S, consumed on
@@ -335,11 +335,17 @@ Status PdImplicationEngine::SparseRound(const std::vector<uint32_t>& worklist,
                                         const ExecContext& ctx,
                                         std::size_t* consumed_strider) {
   const std::size_t n = vertices_.size();
-  const std::size_t words = (n + 63) / 64;
   const bool governed = !ctx.unbounded();
   const auto rules_start = SteadyClock::now();
   DynamicBitset scratch(n);
   DynamicBitset gained(n);
+  // The per-arc part of consuming (row, g): scatter and rules 5/4.
+  auto consume = [&](uint32_t row, std::size_t g) {
+    down_[g].Set(row);
+    for (const auto& [m, o] : parents_[g]) {
+      if (kind_[m] == ExprKind::kSum || up_[row].Test(o)) TrySetArc(row, m);
+    }
+  };
   // Descending index order: AddVertex interns children before parents and
   // theories tend to be written low-to-high, so high rows settle first
   // and most consumptions below hit the settled-source fast path.
@@ -352,16 +358,15 @@ Status PdImplicationEngine::SparseRound(const std::vector<uint32_t>& worklist,
     scratch.Clear();
     // Occupied words [lo, hi) of scratch, widened as bits enter it.
     std::size_t lo = SIZE_MAX, hi = 0;
-    auto widen = [&](std::size_t k) {
-      lo = std::min(lo, k);
-      hi = std::max(hi, k + 1);
+    auto enter = [&](std::size_t g) {
+      scratch.Set(g);
+      lo = std::min(lo, g >> 6);
+      hi = std::max(hi, (g >> 6) + 1);
     };
     std::size_t j;
     while ((j = delta_up_[i].NextSetBit(0)) < n) {
       delta_up_[i].Reset(j);
-      scratch.Set(j);
-      widen(j >> 6);
-      down_[j].Set(i);
+      enter(j);
       if (j != i) {
         if (!dirty_rows_.Test(j)) {
           // Settled source: every arc of row j has been consumed, so
@@ -374,43 +379,28 @@ Status PdImplicationEngine::SparseRound(const std::vector<uint32_t>& worklist,
           std::size_t added = up_[i].OrInPlaceCountNew(up_[j], &gained);
           if (added) {
             arc_count_ += added;
-            scratch.UnionWith(gained);
-            // Word by word, with the word held in a register: the span
-            // of S widens once per word, and no down_ store below forces
-            // a re-read of `gained`.
-            for (std::size_t k = 0; k < words; ++k) {
-              uint64_t gw = gained.word(k);
-              if (!gw) continue;
-              widen(k);
-              do {
-                const std::size_t g =
-                    (k << 6) + static_cast<std::size_t>(__builtin_ctzll(gw));
-                gw &= gw - 1;
-                down_[g].Set(i);
-                for (const auto& [m, o] : parents_[g]) {
-                  if (kind_[m] == ExprKind::kSum || up_[i].Test(o)) {
-                    TrySetArc(i, m);
-                  }
-                }
-              } while (gw);
-            }
+            gained.ForEach(0, SIZE_MAX, [&](std::size_t g) {
+              enter(g);
+              consume(i, g);
+            });
           }
         } else {
           arc_count_ += up_[i].OrInPlaceCountNew(up_[j], &delta_up_[i]);
         }
       }
-      for (const auto& [m, o] : parents_[j]) {
-        if (kind_[m] == ExprKind::kSum || up_[i].Test(o)) TrySetArc(i, m);
-      }
+      consume(i, j);
       if (governed && (++*consumed_strider % kCheckStride) == 0) {
         Status st = ctx.Check();
         if (st.ok()) st = ctx.CheckArcs(arc_count_);
         if (!st.ok()) {
-          // Put the already-consumed bits back on the frontier: their
-          // per-arc effects are idempotent, and the row-level pushes
-          // below have not run for them yet — re-consuming on resume is
-          // sound and completes the round. Rows after this one keep
-          // their dirty flags (only reset after a full drain).
+          // Put the already-consumed bits back on the frontier and take
+          // back their scatter, so down_ again holds only finished
+          // consumptions (invariant (c); the backward join below relies
+          // on it). Their other per-arc effects are sound arcs, and the
+          // row-level pushes below have not run for them yet —
+          // re-consuming on resume completes the round. Rows after this
+          // one keep their dirty flags (only reset after a full drain).
+          scratch.ForEach(lo, hi, [&](std::size_t g) { down_[g].Reset(i); });
           delta_up_[i].UnionWith(scratch);
           stats_.rules_seconds += SecondsSince(rules_start);
           return st;
@@ -433,41 +423,29 @@ Status PdImplicationEngine::SparseRound(const std::vector<uint32_t>& worklist,
       }
     };
     // Rule 7, delta on the right: predecessors absorb the drained bits,
-    // consumed on delivery. A new arc (p, g), g in S, gets its scatter,
+    // consumed on delivery. p ∈ down_[i] means p has finished consuming
+    // (p, i): its row drained, pushes included (an aborted drain takes
+    // its scatter back). A new arc (p, g), g in S, gets its scatter,
     // rules 5/4 and its rules 3/2 for p's parents here. Its rule 7 joins
     // are not needed: up_[g] is in up_[i], which p holds since it
     // consumed (p, i); and each predecessor q of p either is in down_[i]
     // itself, so takes S in this loop, or has (q, i) still to consume,
     // whose forward join brings S. On a warm start this spares each p a
     // full-width forward join per bit of S and a push of S to all of
-    // down_[p]. down_[i] does not change here, so its words are walked in
-    // registers like `gained` above, which now holds the bits new to p.
-    gained.Clear();
-    for (std::size_t k = 0; k < words; ++k) {
-      for (uint64_t dw = down_[i].word(k); dw; dw &= dw - 1) {
-        const uint32_t p =
-            static_cast<uint32_t>((k << 6) + __builtin_ctzll(dw));
-        if (p == i) continue;
-        const std::size_t added =
-            up_[p].OrInPlaceCountNew(scratch, &gained, lo, hi);
-        if (!added) continue;
-        arc_count_ += added;
-        for (std::size_t gk = lo; gk < hi; ++gk) {
-          for (uint64_t gw = gained.word(gk); gw; gw &= gw - 1) {
-            const std::size_t g =
-                (gk << 6) + static_cast<std::size_t>(__builtin_ctzll(gw));
-            down_[g].Set(p);
-            for (const auto& [m, o] : parents_[g]) {
-              if (kind_[m] == ExprKind::kSum || up_[p].Test(o)) {
-                TrySetArc(p, m);
-              }
-            }
-          }
-          gained.set_word(gk, 0);
-        }
-        pull_parents(p);
-      }
-    }
+    // down_[p]. `gained` holds the bits new to p, all within [lo, hi).
+    gained.Clear(lo, hi);
+    down_[i].ForEach(0, SIZE_MAX, [&](std::size_t p) {
+      if (p == i) return;
+      const std::size_t added =
+          up_[p].OrInPlaceCountNew(scratch, &gained, lo, hi);
+      if (!added) return;
+      arc_count_ += added;
+      gained.ForEach(lo, hi, [&](std::size_t g) {
+        consume(static_cast<uint32_t>(p), g);
+      });
+      gained.Clear(lo, hi);
+      pull_parents(static_cast<uint32_t>(p));
+    });
     pull_parents(i);
     dirty_rows_.Reset(i);
   }
@@ -481,9 +459,9 @@ Status PdImplicationEngine::SparseRound(const std::vector<uint32_t>& worklist,
 // the up_[j] source rows stay cache-hot across a tile), then backward
 // transitivity and the parent pulls. New arcs land in delta_up_ and feed
 // the next round (Jacobi across rounds). An abort restores every frozen
-// carry into delta_up_ and redoes the round on resume; all per-arc
-// effects are idempotent and the arc counter only counts transitions, so
-// the redo is exact.
+// carry into delta_up_, takes back its scatter into down_, and redoes the
+// round on resume; all other per-arc effects are idempotent and the arc
+// counter only counts transitions, so the redo is exact.
 Status PdImplicationEngine::DenseRound(const std::vector<uint32_t>& worklist,
                                        const ExecContext& ctx) {
   const std::size_t n = vertices_.size();
@@ -499,6 +477,10 @@ Status PdImplicationEngine::DenseRound(const std::vector<uint32_t>& worklist,
   }
   auto restore = [&] {
     for (uint32_t i : worklist) {
+      // Take back the transpose scatter: these arcs are unconsumed again,
+      // and down_ holds only consumed ones (invariant (c)).
+      carry_[i].ForEach(0, SIZE_MAX,
+                        [&](std::size_t j) { down_[j].Reset(i); });
       delta_up_[i].UnionWith(carry_[i]);
       carry_[i].Clear();
       dirty_rows_.Set(i);

@@ -1,6 +1,7 @@
 #include "discovery/discovery.h"
 
 #include <algorithm>
+#include <cassert>
 #include <functional>
 #include <unordered_map>
 
@@ -71,6 +72,7 @@ Result<std::vector<Fd>> DiscoverFds(const Database& db, const Relation& r,
     if (rest == 0) {
       ops.Strip(column[low], &sp);
     } else {
+      assert(set_pli.contains(rest));  // see the levelwise loop below
       ops.StrippedProduct(pli_of(rest), column[low], &sp);
     }
     return set_pli.emplace(mask, std::move(sp)).first->second;
@@ -99,11 +101,15 @@ Result<std::vector<Fd>> DiscoverFds(const Database& db, const Relation& r,
     int pa = __builtin_popcount(a), pb = __builtin_popcount(b);
     return pa != pb ? pa < pb : a < b;
   });
-  // A mask of popcount k builds on the cached set of its popcount k-1
-  // `rest` only. So the levels below k-1 are dropped as the search moves
-  // up, and a top-level set once its own mask is done: no later mask
-  // builds on it. pli_of recomputes a dropped set on a miss, so the
-  // output cannot change.
+  // A mask x of popcount k builds on the set of its popcount k-1 `rest`
+  // only, and that set is always cached by then: x reaches pli_of only
+  // through holds(x, a) with a not dominated at x, and then a was not
+  // dominated at rest either (minimal_lhs only grows, and what dominates
+  // rest dominates x), so holds(rest, a) ran one level earlier. So the
+  // levels below k-1 are dropped as the search moves up, and a top-level
+  // set once its own mask is done: no later mask builds on it. Nothing
+  // dropped is ever asked for again; pli_of would recompute it if it
+  // were, so the output cannot change either way.
   const int top = static_cast<int>(std::min(options.max_lhs_size, arity));
   int level = 0;
   for (ColMask x : masks) {

@@ -39,8 +39,11 @@ class DynamicBitset {
     return (words_[i >> 6] >> (i & 63)) & 1;
   }
 
-  void Clear() {
-    for (auto& w : words_) w = 0;
+  /// Clears every bit, or only backing words [word_begin, word_end)
+  /// (word_end is clamped to the row).
+  void Clear(std::size_t word_begin = 0, std::size_t word_end = SIZE_MAX) {
+    word_end = std::min(word_end, words_.size());
+    for (std::size_t k = word_begin; k < word_end; ++k) words_[k] = 0;
   }
 
   /// Changes the universe to {0, ..., new_bits-1}. Growing preserves all
@@ -221,6 +224,20 @@ class DynamicBitset {
   void ForEach(Fn&& fn) const {
     for (std::size_t i = NextSetBit(0); i < num_bits_; i = NextSetBit(i + 1)) {
       fn(i);
+    }
+  }
+
+  /// Calls fn(i) in increasing order for every set bit i in backing words
+  /// [word_begin, word_end) (word_end is clamped to the row). Each word is
+  /// read once and walked in a register, so a bit that fn sets in a word
+  /// already read is not visited; nor does a store by fn force a re-read.
+  template <typename Fn>
+  void ForEach(std::size_t word_begin, std::size_t word_end, Fn&& fn) const {
+    word_end = std::min(word_end, words_.size());
+    for (std::size_t k = word_begin; k < word_end; ++k) {
+      for (uint64_t w = words_[k]; w; w &= w - 1) {
+        fn((k << 6) + static_cast<std::size_t>(__builtin_ctzll(w)));
+      }
     }
   }
 

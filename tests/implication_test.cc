@@ -349,13 +349,20 @@ std::vector<DynamicBitset> ReferenceClosure(const ExprArena& arena,
   return up;
 }
 
+// The attribute named `prefix` followed by k.
+ExprId NumberedAttr(ExprArena* arena, const char* prefix, int k) {
+  std::string name(prefix);
+  name += std::to_string(k);
+  return arena->Attr(name);
+}
+
 TEST(IncrementalClosureTest, WideGrowthMatchesColdClosure) {
   for (int seed = 0; seed < 3; ++seed) {
     Rng rng(9300 + seed);
     ExprArena arena;
     int top = 130 + static_cast<int>(rng.Below(171));  // chain length
-    auto chain = [&](int k) { return arena.Attr("c" + std::to_string(k)); };
-    auto side = [&](int k) { return arena.Attr("d" + std::to_string(k)); };
+    auto chain = [&](int k) { return NumberedAttr(&arena, "c", k); };
+    auto side = [&](int k) { return NumberedAttr(&arena, "d", k); };
     auto any = [&] { return chain(static_cast<int>(rng.Below(top))); };
     std::vector<int> sides;  // side attributes introduced so far
     auto any_side = [&] { return side(sides[rng.Below(sides.size())]); };
@@ -494,6 +501,81 @@ TEST(IncrementalClosureTest, WideGrowthMatchesColdClosure) {
     EXPECT_GE(partials, 1);
     EXPECT_GE(starved.stats().aborted_closures, 1u);
     EXPECT_EQ(plain.stats().cold_closures, 1u);
+  }
+}
+
+// An engine left mid-closure must stay growable. An aborted round puts
+// the arcs it had started on back on the frontier, say (p, j); if j
+// later drains first, its delivery to p must not pass for part of a
+// finished consumption of (p, j). Closed base q <= p; then p <= j and a
+// chain of fillers is closed under an arc budget that trips at the first
+// check after the round has started, with the number of fillers (and an
+// isolated attribute h, which shifts the count by one) swept so that the
+// trip lands on every position of the round, p's drain included. The
+// partial engine then takes j <= x (x new), a chain of 400 more and two
+// fresh composites over x, and is closed; it must hold q <= x and equal
+// a cold engine over the same E and V. The second configuration runs
+// the aborted round dense and, V having grown, the resumed one sparse.
+TEST(IncrementalClosureTest, GrowthOfAPartialClosureMatchesColdClosure) {
+  const EngineOptions configs[] = {
+      EngineOptions{},
+      EngineOptions{.dense_min_rows = 16, .dense_inv_density = 180}};
+  for (const EngineOptions& options : configs) {
+    int partials = 0, dense_partials = 0;
+    for (int fillers = 100; fillers < 170; ++fillers) {
+      for (bool isolated : {false, true}) {
+        ExprArena arena;
+        const ExprId q = arena.Attr("q"), p = arena.Attr("p");
+        const ExprId j = arena.Attr("j"), x = arena.Attr("x");
+        PdImplicationEngine engine(&arena, {Pd::Leq(q, p)}, options);
+        auto chain = [&](const char* name, int length) {
+          for (int k = 0; k + 1 < length; ++k) {
+            engine.AddConstraint(Pd::Leq(NumberedAttr(&arena, name, k),
+                                         NumberedAttr(&arena, name, k + 1)));
+          }
+        };
+        engine.Prepare({});
+        engine.AddConstraint(Pd::Leq(p, j));
+        chain("f", fillers);
+        if (isolated) engine.AddConstraint(Pd::Leq(arena.Attr("h"), arena.Attr("h")));
+        // The first attempt seeds and stops at the round's entry check;
+        // the second resumes on a budget of one more arc.
+        ExecContext seed_only;
+        seed_only.WithMaxArcs(engine.stats().num_arcs + 1);
+        ASSERT_FALSE(engine.Prepare({}, seed_only).ok());
+        ExecContext starved;
+        starved.WithMaxArcs(engine.stats().num_arcs + 1);
+        if (engine.Prepare({}, starved).ok()) continue;
+        ++partials;
+        dense_partials += engine.stats().dense_rounds > 0;
+
+        engine.AddConstraint(Pd::Leq(j, x));
+        chain("g", 400);
+        const ExprId fresh[] = {arena.Sum(x, q), arena.Product(x, p)};
+        engine.Prepare(fresh);
+        const std::string where = std::to_string(fillers) + " fillers" +
+                                  (isolated ? " and h" : "");
+        EXPECT_TRUE(engine.LeqInClosure(q, x)) << where;
+        PdImplicationEngine cold(&arena, engine.constraints(), options);
+        cold.Prepare(engine.vertices());
+        ASSERT_EQ(engine.stats().num_arcs, cold.stats().num_arcs) << where;
+        for (ExprId a : cold.vertices()) {
+          for (ExprId b : cold.vertices()) {
+            if (engine.LeqInClosure(a, b) != cold.LeqInClosure(a, b)) {
+              FAIL() << where << ": " << arena.ToString(a) << " <= "
+                     << arena.ToString(b);
+            }
+          }
+        }
+        if (options.dense_min_rows == 16) {
+          EXPECT_GT(engine.stats().sparse_rounds, 0u) << where;
+        }
+      }
+    }
+    EXPECT_GE(partials, 80);
+    if (options.dense_min_rows == 16) {
+      EXPECT_EQ(dense_partials, partials);
+    }
   }
 }
 

@@ -389,6 +389,19 @@ TEST(BitsetTest, RangedCountNewKernelsMatchFullWidth) {
             << "n=" << n << " range [" << begin << ", " << end << ")";
         EXPECT_EQ(ranged, full);
         EXPECT_EQ(ranged_newly, full_newly);
+
+        // The ranged walk and clear touch exactly the bits of their words.
+        std::vector<std::size_t> seen, want_seen;
+        dst.ForEach(begin, end, [&](std::size_t i) { seen.push_back(i); });
+        DynamicBitset kept = dst;
+        kept.Clear(begin, end);
+        for (std::size_t i = 0; i < n; ++i) {
+          const bool inside = i / 64 >= begin && i / 64 < end;
+          if (inside && dst.Test(i)) want_seen.push_back(i);
+          EXPECT_EQ(kept.Test(i), !inside && dst.Test(i)) << "bit " << i;
+        }
+        EXPECT_EQ(seen, want_seen)
+            << "n=" << n << " range [" << begin << ", " << end << ")";
       }
     }
   }
@@ -400,6 +413,8 @@ TEST(BitsetTest, CountNewKernelsOnZeroLengthSets) {
   EXPECT_EQ(a.OrAndInPlaceCountNew(b, b, &newly), 0u);
   EXPECT_EQ(a.OrInPlaceCountNew(b, &newly, 0, 0), 0u);
   EXPECT_EQ(a.OrAndInPlaceCountNew(b, b, &newly, 0, SIZE_MAX), 0u);
+  a.Clear(0, SIZE_MAX);
+  a.ForEach(0, SIZE_MAX, [](std::size_t) { ADD_FAILURE(); });
   a.OrWith(b);
   a.AndNot(b, b);
   EXPECT_EQ(a.size(), 0u);
